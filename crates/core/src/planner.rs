@@ -4,7 +4,7 @@ use std::fmt;
 
 use betty_device::{MemoryEstimate, MemoryEstimator};
 use betty_graph::{Batch, NodeId};
-use betty_partition::OutputPartitioner;
+use betty_partition::{OutputPartitioner, PreparedSplit};
 
 /// The outcome of planning: `K` micro-batches and their memory estimates.
 #[derive(Debug, Clone)]
@@ -17,9 +17,12 @@ pub struct Plan {
     pub micro_batches: Vec<Batch>,
     /// Per-micro-batch memory estimates, parallel to `parts`.
     pub estimates: Vec<MemoryEstimate>,
-    /// Wall-clock seconds spent partitioning (REG build + cut).
+    /// Wall-clock seconds spent partitioning: the strategy's
+    /// [`prepare`](OutputPartitioner::prepare) (for Betty, the REG build)
+    /// plus every cut the K search made.
     pub partition_sec: f64,
-    /// Wall-clock seconds spent extracting micro-batch block stacks.
+    /// Wall-clock seconds spent extracting micro-batch block stacks,
+    /// summed over every K the search probed.
     pub extraction_sec: f64,
 }
 
@@ -143,8 +146,19 @@ impl MemoryAwarePlanner {
     /// loop (used when an experiment fixes the batch count).
     pub fn plan_fixed(&self, batch: &Batch, strategy: &dyn OutputPartitioner, k: usize) -> Plan {
         let started = std::time::Instant::now();
-        let parts: Vec<Vec<NodeId>> = strategy
-            .split_outputs(batch, k)
+        let mut prepared = strategy.prepare(batch);
+        let prepare_sec = started.elapsed().as_secs_f64();
+        let mut plan = self.probe(batch, prepared.as_mut(), k);
+        plan.partition_sec += prepare_sec;
+        plan
+    }
+
+    /// Cuts a prepared batch at `k` and materializes and estimates the
+    /// micro-batches.
+    fn probe(&self, batch: &Batch, prepared: &mut dyn PreparedSplit, k: usize) -> Plan {
+        let started = std::time::Instant::now();
+        let parts: Vec<Vec<NodeId>> = prepared
+            .split(k)
             .into_iter()
             .filter(|p| !p.is_empty())
             .collect();
@@ -153,11 +167,10 @@ impl MemoryAwarePlanner {
         // Each restriction reads the shared batch and writes its own
         // micro-batch, so all K materialize concurrently; results come
         // back in part order, identical to the serial loop.
-        let micro_batches: Vec<Batch> = betty_runtime::parallel_map(
-            parts.len(),
-            betty_runtime::configured_threads(),
-            |i| batch.restrict(&parts[i]),
-        );
+        let micro_batches: Vec<Batch> =
+            betty_runtime::parallel_map(parts.len(), betty_runtime::configured_threads(), |i| {
+                batch.restrict(&parts[i])
+            });
         let extraction_sec = extract_started.elapsed().as_secs_f64();
         let mut estimates: Vec<MemoryEstimate> = micro_batches
             .iter()
@@ -186,11 +199,13 @@ impl MemoryAwarePlanner {
     /// The memory-aware re-partitioning loop: smallest `K ≥ initial_k`
     /// whose largest estimated micro-batch fits capacity.
     ///
-    /// The paper iterates `K → K + 1` (§4.4.3); since each probe costs a
-    /// full REG partitioning, this implementation probes geometrically and
-    /// then binary-searches the fitting boundary — the same minimal `K`
-    /// whenever feasibility is monotone in `K` (which holding the strategy
-    /// fixed it is, up to partitioner noise), in `O(log K)` probes.
+    /// The paper iterates `K → K + 1` (§4.4.3). The batch is prepared once
+    /// (for Betty: the REG and its coarsening hierarchy are built once per
+    /// batch), so each probe costs one cut plus micro-batch extraction.
+    /// This implementation probes geometrically and then binary-searches
+    /// the fitting boundary — the same minimal `K` whenever feasibility is
+    /// monotone in `K` (which holding the strategy fixed it is, up to
+    /// partitioner noise), in `O(log K)` probes.
     ///
     /// # Errors
     ///
@@ -224,11 +239,42 @@ impl MemoryAwarePlanner {
         initial_k: usize,
         capacity_bytes: usize,
     ) -> Result<Plan, PlanError> {
+        let started = std::time::Instant::now();
+        let mut prepared = strategy.prepare(batch);
+        let prepare_sec = started.elapsed().as_secs_f64();
+        let mut plan = self.plan_prepared(batch, prepared.as_mut(), initial_k, capacity_bytes)?;
+        plan.partition_sec += prepare_sec;
+        Ok(plan)
+    }
+
+    /// The K search of [`MemoryAwarePlanner::plan_with_capacity`] over a
+    /// batch the caller already prepared, so that several searches on one
+    /// batch (OOM retries) share the preparation. `prepared` must be a
+    /// preparation of `batch`.
+    ///
+    /// The returned plan's `partition_sec` and `extraction_sec` sum every
+    /// probe of this search; the preparation is the caller's to time.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::CapacityUnreachable`] if no `K ≤ max_partitions`
+    /// fits `capacity_bytes`.
+    pub fn plan_prepared(
+        &self,
+        batch: &Batch,
+        prepared: &mut dyn PreparedSplit,
+        initial_k: usize,
+        capacity_bytes: usize,
+    ) -> Result<Plan, PlanError> {
         let n_outputs = batch.output_nodes().len();
         let k_limit = self.max_partitions.min(n_outputs.max(1));
         let mut best_peak = usize::MAX;
+        let mut partition_sec = 0.0;
+        let mut extraction_sec = 0.0;
         let mut probe = |k: usize| -> (Plan, bool) {
-            let plan = self.plan_fixed(batch, strategy, k);
+            let plan = self.probe(batch, prepared, k);
+            partition_sec += plan.partition_sec;
+            extraction_sec += plan.extraction_sec;
             let peak = plan.max_estimated_peak();
             best_peak = best_peak.min(peak);
             let fits = peak <= capacity_bytes;
@@ -266,12 +312,16 @@ impl MemoryAwarePlanner {
                 lo = mid + 1;
             }
         }
+        best_plan.partition_sec = partition_sec;
+        best_plan.extraction_sec = extraction_sec;
         Ok(best_plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use betty_device::{AggregatorKind, ModelShape};
     use betty_graph::Block;
@@ -441,6 +491,122 @@ mod tests {
             );
         }
         betty_runtime::set_thread_override(None);
+    }
+
+    /// Counts the preparations and splits of the strategy it wraps.
+    struct Counting<S> {
+        inner: S,
+        prepares: Cell<usize>,
+        splits: Cell<usize>,
+    }
+
+    impl<S: OutputPartitioner> OutputPartitioner for Counting<S> {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn split_outputs(&self, batch: &Batch, k: usize) -> Vec<Vec<NodeId>> {
+            self.inner.split_outputs(batch, k)
+        }
+
+        fn prepare<'a>(&'a self, batch: &'a Batch) -> Box<dyn PreparedSplit + 'a> {
+            self.prepares.set(self.prepares.get() + 1);
+            Box::new(CountingSplit {
+                inner: self.inner.prepare(batch),
+                splits: &self.splits,
+            })
+        }
+    }
+
+    struct CountingSplit<'a> {
+        inner: Box<dyn PreparedSplit + 'a>,
+        splits: &'a Cell<usize>,
+    }
+
+    impl PreparedSplit for CountingSplit<'_> {
+        fn split(&mut self, k: usize) -> Vec<Vec<NodeId>> {
+            self.splits.set(self.splits.get() + 1);
+            self.inner.split(k)
+        }
+    }
+
+    /// 240 outputs — enough for the REG to be coarsened — where runs of
+    /// four consecutive outputs share sources and neighbouring runs
+    /// overlap.
+    fn wide_batch() -> Batch {
+        let mut edges = Vec::new();
+        for d in 0..240u32 {
+            for s in 0..5u32 {
+                edges.push((1000 + (d / 4) * 3 + s, d));
+            }
+        }
+        Batch::new(vec![Block::new((0..240).collect(), &edges)])
+    }
+
+    /// The K search of `plan_with_capacity`, re-run with a fresh
+    /// `plan_fixed` per probe; returns the plan and the number of probes.
+    fn reference_search(
+        planner: &MemoryAwarePlanner,
+        batch: &Batch,
+        strategy: &dyn OutputPartitioner,
+        capacity: usize,
+    ) -> (Plan, usize) {
+        let k_limit = planner.max_partitions.min(batch.output_nodes().len());
+        let mut probes = 0;
+        let mut probe = |k| {
+            probes += 1;
+            let plan = planner.plan_fixed(batch, strategy, k);
+            let fits = plan.max_estimated_peak() <= capacity;
+            (plan, fits)
+        };
+        let (mut lo, mut k) = (1, 1);
+        let (mut best, mut fits) = probe(k);
+        while !fits {
+            assert!(k < k_limit, "the reference capacity must be reachable");
+            lo = k + 1;
+            k = (k * 2).min(k_limit);
+            (best, fits) = probe(k);
+        }
+        let mut hi = k;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let (plan, fits) = probe(mid);
+            if fits {
+                (best, hi) = (plan, mid);
+            } else {
+                lo = mid + 1;
+            }
+        }
+        (best, probes)
+    }
+
+    #[test]
+    fn k_search_prepares_once_and_matches_fresh_probes() {
+        let batch = wide_batch();
+        let planner = MemoryAwarePlanner::new(estimator(), usize::MAX, 64);
+        let strategy = RegPartitioner::new(3);
+        // A capacity that only K ≥ 11 meets: several ascent and bisection
+        // probes.
+        let capacity = planner
+            .plan_fixed(&batch, &strategy, 11)
+            .max_estimated_peak();
+        let (expected, probes) = reference_search(&planner, &batch, &strategy, capacity);
+        assert!(probes >= 5, "only {probes} probes");
+
+        let counting = Counting {
+            inner: strategy,
+            prepares: Cell::new(0),
+            splits: Cell::new(0),
+        };
+        let plan = planner
+            .plan_with_capacity(&batch, &counting, 1, capacity)
+            .unwrap();
+        assert_eq!(counting.prepares.get(), 1, "one preparation per search");
+        assert_eq!(counting.splits.get(), probes, "one split per probe");
+        assert_eq!(plan.k, expected.k);
+        assert_eq!(plan.parts, expected.parts);
+        assert_eq!(plan.micro_batches, expected.micro_batches);
+        assert_eq!(plan.estimates, expected.estimates);
     }
 
     #[test]

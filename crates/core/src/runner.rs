@@ -10,7 +10,7 @@ use betty_data::{Dataset, StorageIncident};
 use betty_device::{Device, MemoryEstimator, ModelShape};
 use betty_graph::{sample_batch_in, Batch, CsrGraph, NodeId};
 use betty_nn::{Gat, Gcn, Gin, GnnModel, GraphSage, TrainState};
-
+use betty_partition::{OutputPartitioner, PreparedSplit};
 use betty_trace::{SpanKind, TraceRecorder};
 
 use crate::config::{ExperimentConfig, ModelKind};
@@ -225,6 +225,26 @@ fn host_staging_bytes(dataset: &Dataset, micro_batches: &[Batch]) -> usize {
 /// implementation-dependent (§4.4.3); Table 7 reports our estimation error
 /// under this constant.
 pub const LSTM_TAPE_CONSTANT: usize = 24;
+
+/// [`MemoryAwarePlanner::plan_prepared`] over `strategy`'s preparation
+/// of `batch`, made on the first call and kept in `prepared` for the next;
+/// the plan that pays for the preparation counts it in its
+/// `partition_sec`.
+fn plan_reusing<'a>(
+    planner: &MemoryAwarePlanner,
+    prepared: &mut Option<Box<dyn PreparedSplit + 'a>>,
+    strategy: &'a dyn OutputPartitioner,
+    batch: &'a Batch,
+    initial_k: usize,
+    capacity_bytes: usize,
+) -> Result<Plan, PlanError> {
+    let started = std::time::Instant::now();
+    let prepared = prepared.get_or_insert_with(|| strategy.prepare(batch));
+    let prepare_sec = started.elapsed().as_secs_f64();
+    let mut plan = planner.plan_prepared(batch, prepared.as_mut(), initial_k, capacity_bytes)?;
+    plan.partition_sec += prepare_sec;
+    Ok(plan)
+}
 
 impl Runner {
     /// Builds the model, device, estimator and planner for `config`.
@@ -923,6 +943,9 @@ impl Runner {
         let mut pending = Some(source.plan);
         let snapshot = self.trainer.snapshot();
         let strategy_impl = build_strategy(strategy, self.seed);
+        // Prepared on the first retry and shared by every later one: the
+        // REG and its coarsening depend on the batch, not on K.
+        let mut prepared = None;
         let mut injected_faults = 0usize;
         let mut attempt = 0usize; // failed OOM attempts so far
         let mut anomaly_rollbacks = 0usize;
@@ -935,9 +958,11 @@ impl Runner {
                 Some(Ok(plan)) => plan,
                 // The *first* plan failed (nothing to recover from).
                 Some(Err(e)) => return Err(RunError::Plan(e)),
-                None => match self.planner.plan_with_capacity(
-                    &batch,
+                None => match plan_reusing(
+                    &self.planner,
+                    &mut prepared,
                     strategy_impl.as_ref(),
+                    &batch,
                     initial_k,
                     planning_capacity,
                 ) {
@@ -1284,16 +1309,17 @@ impl Runner {
         // K until the migrated load fits the survivors' headroom budget.
         let mut attempt = 0usize;
         let mut k_now = k;
+        let mut prepared = None;
         let (plan, schedule) = loop {
-            let plan = self
-                .planner
-                .plan_with_capacity(
-                    &batch,
-                    strategy_impl.as_ref(),
-                    k_now,
-                    policy.planning_capacity(capacity, attempt),
-                )
-                .map_err(RunError::Plan)?;
+            let plan = plan_reusing(
+                &self.planner,
+                &mut prepared,
+                strategy_impl.as_ref(),
+                &batch,
+                k_now,
+                policy.planning_capacity(capacity, attempt),
+            )
+            .map_err(RunError::Plan)?;
             let work: Vec<f64> = plan
                 .micro_batches
                 .iter()

@@ -59,9 +59,28 @@ impl MultilevelPartitioner {
         self.refinement_passes = passes;
         self
     }
+
+    /// Builds the K-independent part of a partitioning of `graph`: the
+    /// symmetrized finest level. Coarser levels are added on demand by
+    /// [`PreparedCut::cut`] and kept for later cuts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_weights.len() != graph.num_nodes()`.
+    pub fn prepare(&self, graph: &CsrGraph, node_weights: &[f64]) -> PreparedCut {
+        assert_eq!(node_weights.len(), graph.num_nodes(), "one weight per node");
+        let rng = Pcg64Mcg::seed_from_u64(self.seed);
+        PreparedCut {
+            config: self.clone(),
+            levels: vec![finest_level(graph, node_weights)],
+            rng_after: vec![rng],
+            exhausted_rng: None,
+        }
+    }
 }
 
 /// Working representation: merged undirected adjacency with weights.
+#[derive(Debug)]
 struct Level {
     /// Sorted, merged neighbor lists (no self-loops).
     adj: Vec<Vec<(u32, f32)>>,
@@ -542,6 +561,99 @@ fn fix_empty_parts(level: &Level, assignment: &mut [u32], k: usize) {
     }
 }
 
+/// A graph ready to be cut at any `k`, sharing one coarsening hierarchy
+/// between cuts.
+///
+/// Coarsening depends on `k` only through where it stops (at
+/// `max(30·k, 64)` nodes), and each level is one heavy-edge matching drawn
+/// from the partitioner's RNG. The hierarchy is therefore one chain of
+/// levels, and a cut at `k` uses a prefix of it. Caching each level with
+/// the RNG state that followed its matching makes [`PreparedCut::cut`]
+/// bit-identical to a fresh [`Partitioner::partition_weighted`] call.
+#[derive(Debug)]
+pub struct PreparedCut {
+    config: MultilevelPartitioner,
+    levels: Vec<Level>,
+    /// `rng_after[i]`: the RNG right after level `i` was built;
+    /// `rng_after[0]` is freshly seeded.
+    rng_after: Vec<Pcg64Mcg>,
+    /// The RNG after a coarsening attempt on the last level that made too
+    /// little progress; `Some` once the hierarchy can grow no further.
+    exhausted_rng: Option<Pcg64Mcg>,
+}
+
+impl PreparedCut {
+    /// Partitions the prepared graph into `k` parts; equal to
+    /// `partition_weighted(graph, node_weights, k)` on the same
+    /// partitioner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn cut(&mut self, k: usize) -> Partitioning {
+        assert!(k > 0, "k must be positive");
+        let n = self.levels[0].num_nodes();
+        if k == 1 || n <= 1 {
+            return Partitioning::new(vec![0; n], k.max(1));
+        }
+
+        // Coarsening phase: the levels a fresh run would build for `k`.
+        let target = (self.config.coarsen_nodes_per_part * k).max(64);
+        let mut depth = 0;
+        let mut rng = loop {
+            if self.levels[depth].num_nodes() <= target {
+                break self.rng_after[depth].clone();
+            }
+            if depth + 1 == self.levels.len() {
+                if let Some(rng) = &self.exhausted_rng {
+                    break rng.clone();
+                }
+                let mut rng = self.rng_after[depth].clone();
+                match coarsen(&self.levels[depth], &mut rng) {
+                    Some(coarse) => {
+                        self.levels.push(coarse);
+                        self.rng_after.push(rng);
+                    }
+                    None => {
+                        self.exhausted_rng = Some(rng.clone());
+                        break rng;
+                    }
+                }
+            }
+            depth += 1;
+        };
+        let levels = &self.levels[..=depth];
+
+        let total: f64 = levels[0].node_w.iter().sum();
+        let max_part_w = (1.0 + self.config.balance_epsilon) * total / k as f64;
+        let passes = self.config.refinement_passes;
+
+        // Initial partition on the coarsest level.
+        let coarsest = &levels[depth];
+        let mut assignment = initial_partition(coarsest, k, &mut rng);
+        fix_empty_parts(coarsest, &mut assignment, k);
+        refine(coarsest, &mut assignment, k, max_part_w, passes, &mut rng);
+
+        // Uncoarsening: project and refine at each finer level.
+        for li in (0..depth).rev() {
+            let fine_to_coarse = levels[li + 1]
+                .fine_to_coarse
+                .as_ref()
+                .expect("coarse levels carry projection maps");
+            let fine_assignment: Vec<u32> = (0..levels[li].num_nodes())
+                .map(|u| assignment[fine_to_coarse[u] as usize])
+                .collect();
+            assignment = fine_assignment;
+            refine(&levels[li], &mut assignment, k, max_part_w, passes, &mut rng);
+        }
+
+        let finest = &levels[0];
+        rebalance(finest, &mut assignment, k, max_part_w);
+        fix_empty_parts(finest, &mut assignment, k);
+        Partitioning::new(assignment, k)
+    }
+}
+
 impl Partitioner for MultilevelPartitioner {
     fn name(&self) -> &'static str {
         "metis-like"
@@ -554,63 +666,7 @@ impl Partitioner for MultilevelPartitioner {
         k: usize,
     ) -> Partitioning {
         assert!(k > 0, "k must be positive");
-        let n = graph.num_nodes();
-        assert_eq!(node_weights.len(), n, "one weight per node");
-        if k == 1 || n <= 1 {
-            return Partitioning::new(vec![0; n], k.max(1));
-        }
-        let mut rng = Pcg64Mcg::seed_from_u64(self.seed);
-
-        // Coarsening phase.
-        let mut levels = vec![finest_level(graph, node_weights)];
-        let target = (self.coarsen_nodes_per_part * k).max(64);
-        while levels.last().expect("non-empty").num_nodes() > target {
-            match coarsen(levels.last().expect("non-empty"), &mut rng) {
-                Some(coarse) => levels.push(coarse),
-                None => break,
-            }
-        }
-
-        let total: f64 = node_weights.iter().sum();
-        let max_part_w = (1.0 + self.balance_epsilon) * total / k as f64;
-
-        // Initial partition on the coarsest level.
-        let coarsest = levels.last().expect("non-empty");
-        let mut assignment = initial_partition(coarsest, k, &mut rng);
-        fix_empty_parts(coarsest, &mut assignment, k);
-        refine(
-            coarsest,
-            &mut assignment,
-            k,
-            max_part_w,
-            self.refinement_passes,
-            &mut rng,
-        );
-
-        // Uncoarsening: project and refine at each finer level.
-        for li in (0..levels.len() - 1).rev() {
-            let fine_to_coarse = levels[li + 1]
-                .fine_to_coarse
-                .as_ref()
-                .expect("coarse levels carry projection maps");
-            let fine_assignment: Vec<u32> = (0..levels[li].num_nodes())
-                .map(|u| assignment[fine_to_coarse[u] as usize])
-                .collect();
-            assignment = fine_assignment;
-            refine(
-                &levels[li],
-                &mut assignment,
-                k,
-                max_part_w,
-                self.refinement_passes,
-                &mut rng,
-            );
-        }
-
-        let finest = &levels[0];
-        rebalance(finest, &mut assignment, k, max_part_w);
-        fix_empty_parts(finest, &mut assignment, k);
-        Partitioning::new(assignment, k)
+        self.prepare(graph, node_weights).cut(k)
     }
 }
 

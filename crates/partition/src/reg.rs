@@ -3,7 +3,7 @@
 
 use betty_graph::{dependency_reg, shared_neighbor_graph, Batch, Block, CsrGraph, NodeId};
 
-use crate::{MultilevelPartitioner, Partitioner, Partitioning};
+use crate::{MultilevelPartitioner, Partitioner, Partitioning, PreparedCut};
 
 /// Which redundancy information the REG embeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,6 +32,44 @@ pub trait OutputPartitioner {
     ///
     /// Panics if `k == 0`.
     fn split_outputs(&self, batch: &Batch, k: usize) -> Vec<Vec<NodeId>>;
+
+    /// Does the K-independent work of splitting `batch` once, for callers
+    /// that split the same batch at several `k` (the memory-aware K
+    /// search, OOM retries).
+    ///
+    /// The default defers everything to [`OutputPartitioner::split_outputs`].
+    fn prepare<'a>(&'a self, batch: &'a Batch) -> Box<dyn PreparedSplit + 'a> {
+        Box::new(Unprepared {
+            strategy: self,
+            batch,
+        })
+    }
+}
+
+/// A batch prepared by [`OutputPartitioner::prepare`].
+///
+/// Contract: `split(k)` returns exactly what `split_outputs(batch, k)`
+/// returns on the preparing strategy, bit for bit, whatever `k`s were
+/// split before.
+pub trait PreparedSplit {
+    /// Splits the prepared batch's output nodes into `k` groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    fn split(&mut self, k: usize) -> Vec<Vec<NodeId>>;
+}
+
+/// The default preparation: nothing is shared between splits.
+struct Unprepared<'a, S: ?Sized> {
+    strategy: &'a S,
+    batch: &'a Batch,
+}
+
+impl<S: OutputPartitioner + ?Sized> PreparedSplit for Unprepared<'_, S> {
+    fn split(&mut self, k: usize) -> Vec<Vec<NodeId>> {
+        self.strategy.split_outputs(self.batch, k)
+    }
 }
 
 /// Algorithm 1: builds the Redundancy-Embedded Graph of the output layer
@@ -118,16 +156,34 @@ impl OutputPartitioner for RegPartitioner {
     }
 
     fn split_outputs(&self, batch: &Batch, k: usize) -> Vec<Vec<NodeId>> {
-        assert!(k > 0, "k must be positive");
-        match self.scope {
-            RegScope::LastLayer => reg_partition(batch, k, &self.cutter),
-            RegScope::FullDependency => {
-                let reg = dependency_reg(batch, self.hub_cap);
-                let parts = self.cutter.partition(&reg, k);
-                let last = batch.blocks().last().expect("batch is never empty");
-                locals_to_globals(&parts, last)
-            }
-        }
+        self.prepare(batch).split(k)
+    }
+
+    /// Builds the REG and its coarsening hierarchy once; every split then
+    /// pays only the initial partition and refinement.
+    fn prepare<'a>(&'a self, batch: &'a Batch) -> Box<dyn PreparedSplit + 'a> {
+        let last = batch.blocks().last().expect("batch is never empty");
+        let reg = match self.scope {
+            // Lines 1–7 of Algorithm 1: REG = AᵀA over output nodes.
+            RegScope::LastLayer => shared_neighbor_graph(last),
+            RegScope::FullDependency => dependency_reg(batch, self.hub_cap),
+        };
+        Box::new(PreparedReg {
+            cut: self.cutter.prepare(&reg, &vec![1.0; reg.num_nodes()]),
+            last,
+        })
+    }
+}
+
+/// A batch's REG, ready to be min-cut at any `k`.
+struct PreparedReg<'a> {
+    cut: PreparedCut,
+    last: &'a Block,
+}
+
+impl PreparedSplit for PreparedReg<'_> {
+    fn split(&mut self, k: usize) -> Vec<Vec<NodeId>> {
+        locals_to_globals(&self.cut.cut(k), self.last)
     }
 }
 

@@ -6,15 +6,23 @@ use std::collections::HashSet;
 use betty_graph::{sample_batch, shared_neighbor_graph, Batch, CsrGraph, NodeId};
 use betty_partition::{
     input_redundancy, MultilevelPartitioner, OutputPartitioner, Partitioner, RandomPartitioner,
-    RangePartitioner, RegPartitioner,
+    RangePartitioner, RegPartitioner, RegScope,
 };
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_pcg::Pcg64Mcg;
 
 /// Strategy: a random directed graph as (n, edges).
 fn arb_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
-    (10usize..60).prop_flat_map(|n| {
+    arb_graph_of(10..60)
+}
+
+/// Strategy: a random directed graph with a node count drawn from `nodes`.
+fn arb_graph_of(
+    nodes: std::ops::Range<usize>,
+) -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
+    nodes.prop_flat_map(|n| {
         let edges = proptest::collection::vec((0..n as NodeId, 0..n as NodeId), 0..(n * 4));
         (Just(n), edges)
     })
@@ -146,6 +154,84 @@ proptest! {
         }
         let full: HashSet<NodeId> = batch.input_nodes().iter().copied().collect();
         prop_assert_eq!(union, full);
+    }
+}
+
+/// Strategy: a graph with up to 200 nodes, so that cuts at
+/// small `k` coarsen it several times, as (n, edges, node weights). Edges
+/// stay inside `components` blocks of consecutive ids, so the graph is
+/// disconnected when there are several; density 0 gives no edges at all.
+#[allow(clippy::type_complexity)]
+fn arb_coarsenable_graph() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>, Vec<f64>)> {
+    (1usize..200, 1usize..4, 0usize..4).prop_flat_map(|(n, components, density)| {
+        let block = n.div_ceil(components) as NodeId;
+        let edges = proptest::collection::vec((0..n as NodeId, 0..block), 0..n * density + 1)
+            .prop_map(move |pairs| {
+                pairs
+                    .into_iter()
+                    .map(|(u, offset)| (u, (u / block * block + offset).min(n as NodeId - 1)))
+                    .collect::<Vec<_>>()
+            });
+        let weights = proptest::collection::vec(1u32..5, n)
+            .prop_map(|w| w.into_iter().map(f64::from).collect::<Vec<_>>());
+        (Just(n), edges, weights)
+    })
+}
+
+/// Strategy: `k`s to cut at, with repeats, in an order given by a seed.
+fn arb_k_sequence() -> impl Strategy<Value = (Vec<usize>, u64)> {
+    (proptest::collection::vec(1usize..12, 1..6), 0u64..1000)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn prepared_cut_equals_fresh_partition(
+        (n, edges, weights) in arb_coarsenable_graph(),
+        (mut ks, order_seed) in arb_k_sequence(),
+    ) {
+        let g = CsrGraph::from_edges(n, &edges);
+        let cutter = MultilevelPartitioner::new(order_seed);
+        // One k a second time, and more parts than nodes where that stays
+        // cheap (refinement is quadratic in k).
+        ks.push(ks[0]);
+        if n <= 60 {
+            ks.push(n + 1);
+        }
+        ks.shuffle(&mut Pcg64Mcg::seed_from_u64(order_seed));
+        let mut prepared = cutter.prepare(&g, &weights);
+        for k in ks {
+            prop_assert_eq!(
+                prepared.cut(k),
+                cutter.partition_weighted(&g, &weights, k),
+                "k = {}", k
+            );
+        }
+    }
+
+    #[test]
+    fn prepared_reg_split_equals_split_outputs(
+        (n, edges) in arb_graph_of(140..300),
+        (mut ks, order_seed) in arb_k_sequence(),
+    ) {
+        let g = CsrGraph::from_edges(n, &edges);
+        let seeds: Vec<NodeId> = (0..n as NodeId).step_by(2).collect();
+        let mut rng = Pcg64Mcg::seed_from_u64(order_seed);
+        let batch = sample_batch(&g, &seeds, &[3, 4], &mut rng);
+        ks.push(ks[0]);
+        ks.shuffle(&mut rng);
+        for scope in [RegScope::LastLayer, RegScope::FullDependency] {
+            let strategy = RegPartitioner::new(order_seed).with_scope(scope);
+            let mut prepared = strategy.prepare(&batch);
+            for &k in &ks {
+                prop_assert_eq!(
+                    prepared.split(k),
+                    strategy.split_outputs(&batch, k),
+                    "{:?}, k = {}", scope, k
+                );
+            }
+        }
     }
 }
 

@@ -302,3 +302,60 @@ fn inert_fault_plan_is_byte_for_byte_noop() {
         armed_runner.evaluate(&ds, &ds.test_idx)
     );
 }
+
+/// Betty's auto-K epochs under scheduled OOMs (epoch 0 pays two retries,
+/// epoch 2 one), over a batch large enough that the REG is coarsened. An
+/// epoch's retries share one prepared REG; every epoch's loss, K and retry
+/// count must equal the figures recorded when each retry rebuilt it.
+#[test]
+fn retried_auto_k_epochs_match_recorded_losses() {
+    let ds = DatasetSpec::ogbn_arxiv()
+        .scaled(0.006)
+        .with_feature_dim(16)
+        .generate(2);
+    let base = ExperimentConfig {
+        fanouts: vec![5, 10],
+        hidden_dim: 16,
+        aggregator: AggregatorSpec::Mean,
+        dropout: 0.1,
+        learning_rate: 1e-2,
+        ..ExperimentConfig::default()
+    };
+    let mut probe = Runner::new(&ds, &base, 5);
+    let batch = probe.sample_full_batch(&ds);
+    assert!(batch.output_nodes().len() > 64, "the REG must be coarsened");
+    let full_peak = probe
+        .plan_fixed(&batch, StrategyKind::Betty, 1)
+        .max_estimated_peak();
+    let config = ExperimentConfig {
+        capacity_bytes: full_peak / 3,
+        fault_plan: Some(FaultPlan {
+            oom_steps: vec![0, 4, 30],
+            ..FaultPlan::default()
+        }),
+        retry: RetryPolicy {
+            max_retries: 6,
+            ..RetryPolicy::default()
+        },
+        ..base
+    };
+    let mut runner = Runner::new(&ds, &config, 5);
+    let mut log = RecoveryLog::new();
+    let mut outcomes = Vec::new();
+    for epoch in 0..4 {
+        log.set_epoch(epoch);
+        let (stats, k) = runner
+            .train_epoch_auto_recovering(&ds, StrategyKind::Betty, &mut log)
+            .expect("recovery rescues every epoch");
+        outcomes.push((stats.loss.to_bits(), k, stats.oom_retries));
+    }
+    // (loss bits, K, OOM retries) per epoch.
+    let recorded = [
+        (4616771964265037824, 20, 2),
+        (4616445276117270528, 5, 0),
+        (4616213032874278912, 10, 1),
+        (4615724357937790976, 5, 0),
+    ];
+    assert_eq!(outcomes, recorded);
+    assert_eq!(log.oom_retries(), 3);
+}
