@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use betty::{
-    latest_valid_checkpoint, load_checkpoint_state, CheckpointPlan, DeviceGroup, ExperimentConfig,
+    latest_valid_checkpoint, verify_checkpoints, CheckpointPlan, DeviceGroup, ExperimentConfig,
     ModelKind, RecoveryEvent, RecoveryLog, RetryPolicy, Runner, StrategyKind,
 };
 use betty_data::{load_dataset, save_dataset, Dataset, DatasetSpec};
@@ -601,28 +601,17 @@ pub fn scrub(dir: &str) -> CmdResult {
         }
     }
 
-    let mut slots: Vec<std::path::PathBuf> = std::fs::read_dir(root)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".btc"))
-        })
-        .collect();
+    let slots = verify_checkpoints(root)?;
     if !slots.is_empty() {
         scrubbed_anything = true;
-        slots.sort();
-        let mut valid = 0usize;
         let mut corrupt = 0usize;
-        for path in &slots {
-            match load_checkpoint_state(path) {
-                Ok(_) => valid += 1,
-                Err(err) => {
-                    corrupt += 1;
-                    println!("  corrupt checkpoint {}: {err}", path.display());
-                }
+        for (_, err) in &slots {
+            if let Some(err) = err {
+                corrupt += 1;
+                println!("  corrupt checkpoint: {err}");
             }
         }
+        let valid = slots.len() - corrupt;
         println!(
             "checkpoints: {} slots, {valid} valid, {corrupt} corrupt",
             slots.len()

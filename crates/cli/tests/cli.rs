@@ -420,6 +420,76 @@ fn scrub_of_missing_dir_is_a_usage_error() {
     );
 }
 
+/// Trains three epochs into a fresh checkpoint directory (slots
+/// `ckpt-000000.btc` … `ckpt-000002.btc`).
+fn checkpoint_slots(dir: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(dir);
+    let out = betty()
+        .arg("train")
+        .args(SHAPE)
+        .args(["--epochs", "3"])
+        .arg("--checkpoint-dir")
+        .arg(dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// Runs `betty scrub dir`; returns its exit code and stdout.
+fn scrub(dir: &std::path::Path) -> (Option<i32>, String) {
+    let out = betty().arg("scrub").arg(dir).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    (out.status.code(), format!("{stdout}{}", String::from_utf8_lossy(&out.stderr)))
+}
+
+#[test]
+fn scrub_of_valid_checkpoints_exits_clean() {
+    let dir = tmp("scrub-ckpt-valid");
+    checkpoint_slots(&dir);
+    let (code, out) = scrub(&dir);
+    assert_eq!(code, Some(0), "{out}");
+    assert!(out.contains("checkpoints: 3 slots, 3 valid, 0 corrupt"), "{out}");
+    assert!(out.contains("scrub: clean"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn scrub_reports_a_corrupt_newest_slot_with_a_valid_fallback() {
+    let dir = tmp("scrub-ckpt-newest");
+    checkpoint_slots(&dir);
+    flip_byte(&dir.join("ckpt-000002.btc"), 64);
+    let (code, out) = scrub(&dir);
+    assert_eq!(code, Some(0), "{out}");
+    assert!(out.contains("checkpoints: 3 slots, 2 valid, 1 corrupt"), "{out}");
+    assert!(out.contains("ckpt-000002.btc"), "{out}");
+    assert!(out.contains("--resume will fall back"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn scrub_with_every_checkpoint_slot_corrupt_exits_7() {
+    let dir = tmp("scrub-ckpt-dead");
+    checkpoint_slots(&dir);
+    for epoch in 0..3 {
+        flip_byte(&dir.join(format!("ckpt-{epoch:06}.btc")), 64);
+    }
+    let (code, out) = scrub(&dir);
+    assert_eq!(code, Some(7), "{out}");
+    assert!(out.contains("checkpoints: 3 slots, 0 valid, 3 corrupt"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn scrub_ignores_files_that_resume_does_not_treat_as_slots() {
+    let dir = tmp("scrub-ckpt-stray");
+    checkpoint_slots(&dir);
+    std::fs::write(dir.join("ckpt-notes.btc"), b"not a checkpoint").unwrap();
+    let (code, out) = scrub(&dir);
+    assert_eq!(code, Some(0), "{out}");
+    assert!(out.contains("checkpoints: 3 slots, 3 valid, 0 corrupt"), "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_falls_back_past_corrupt_newest_slot_bit_identically() {
     let dir_a = tmp("fallback-baseline");

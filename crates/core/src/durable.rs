@@ -5,9 +5,10 @@
 //! (and the CLI's epoch loop) save a full [`TrainState`] — parameters,
 //! Adam moments, both RNG streams, step/epoch counters, the loss history,
 //! and the config fingerprint — at the end of every `every`-th epoch.
-//! Writes go through [`betty_nn::write_atomic`] (tmp + fsync + rename),
-//! so a checkpoint either exists completely with valid CRCs or not at
-//! all; a SIGKILL mid-write leaves the previous checkpoint intact.
+//! Writes go through [`betty_tensor::container::write_atomic`] (tmp +
+//! fsync + rename + directory fsync), so a checkpoint either exists
+//! completely with valid CRCs or not at all; a SIGKILL mid-write leaves
+//! the previous checkpoint intact.
 //!
 //! Resume ([`latest_checkpoint`] + [`Runner::import_session`]) restores
 //! every piece of state training consumes, so a killed-and-resumed run
@@ -133,6 +134,29 @@ fn epoch_of(path: &Path) -> Option<usize> {
     stem.parse().ok()
 }
 
+/// Every `ckpt-NNNNNN.btc` slot in `dir` as `(epoch, path)`, newest
+/// first; empty when `dir` is missing. Resume and scrub both list slots
+/// here, so they always agree on what a slot is.
+fn checkpoint_slots(dir: &Path) -> Result<Vec<(usize, PathBuf)>, RunError> {
+    let unreadable = |e: std::io::Error| {
+        RunError::Checkpoint(format!("cannot read checkpoint dir {}: {e}", dir.display()))
+    };
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(unreadable(e)),
+    };
+    let mut slots = Vec::new();
+    for entry in entries {
+        let path = entry.map_err(unreadable)?.path();
+        if let Some(epoch) = epoch_of(&path) {
+            slots.push((epoch, path));
+        }
+    }
+    slots.sort_by_key(|&(epoch, _)| std::cmp::Reverse(epoch));
+    Ok(slots)
+}
+
 /// Finds the newest checkpoint (highest epoch) in `dir`.
 ///
 /// Returns `Ok(None)` when the directory is missing or holds no
@@ -142,30 +166,7 @@ fn epoch_of(path: &Path) -> Option<usize> {
 ///
 /// [`RunError::Checkpoint`] if the directory exists but cannot be read.
 pub fn latest_checkpoint(dir: impl AsRef<Path>) -> Result<Option<(usize, PathBuf)>, RunError> {
-    let dir = dir.as_ref();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(RunError::Checkpoint(format!(
-                "cannot read checkpoint dir {}: {e}",
-                dir.display()
-            )))
-        }
-    };
-    let mut best: Option<(usize, PathBuf)> = None;
-    for entry in entries {
-        let entry = entry.map_err(|e| {
-            RunError::Checkpoint(format!("cannot read checkpoint dir {}: {e}", dir.display()))
-        })?;
-        let path = entry.path();
-        if let Some(epoch) = epoch_of(&path) {
-            if best.as_ref().is_none_or(|(b, _)| epoch > *b) {
-                best = Some((epoch, path));
-            }
-        }
-    }
-    Ok(best)
+    Ok(checkpoint_slots(dir.as_ref())?.into_iter().next())
 }
 
 /// The newest *loadable* checkpoint in a directory, plus every newer
@@ -200,30 +201,10 @@ pub fn latest_valid_checkpoint(
     dir: impl AsRef<Path>,
 ) -> Result<Option<CheckpointResolution>, RunError> {
     let dir = dir.as_ref();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => {
-            return Err(RunError::Checkpoint(format!(
-                "cannot read checkpoint dir {}: {e}",
-                dir.display()
-            )))
-        }
-    };
-    let mut slots: Vec<(usize, PathBuf)> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| {
-            RunError::Checkpoint(format!("cannot read checkpoint dir {}: {e}", dir.display()))
-        })?;
-        let path = entry.path();
-        if let Some(epoch) = epoch_of(&path) {
-            slots.push((epoch, path));
-        }
-    }
+    let slots = checkpoint_slots(dir)?;
     if slots.is_empty() {
         return Ok(None);
     }
-    slots.sort_by_key(|&(epoch, _)| std::cmp::Reverse(epoch));
     let mut skipped = Vec::new();
     let mut reasons = Vec::new();
     for (epoch, path) in slots {
@@ -247,6 +228,26 @@ pub fn latest_valid_checkpoint(
         dir.display(),
         reasons.join("; ")
     )))
+}
+
+/// Validates every checkpoint slot in `dir` — the same slots
+/// [`latest_valid_checkpoint`] walks — newest first: each slot's path
+/// and, if it does not load, why. Empty when `dir` is missing or holds
+/// no slots.
+///
+/// # Errors
+///
+/// [`RunError::Checkpoint`] if the directory exists but cannot be read.
+pub fn verify_checkpoints(
+    dir: impl AsRef<Path>,
+) -> Result<Vec<(PathBuf, Option<RunError>)>, RunError> {
+    Ok(checkpoint_slots(dir.as_ref())?
+        .into_iter()
+        .map(|(_, path)| {
+            let err = load_checkpoint_state(&path).err();
+            (path, err)
+        })
+        .collect())
 }
 
 /// Loads a checkpoint file, mapping format/I-O failures onto

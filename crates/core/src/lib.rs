@@ -60,8 +60,8 @@ mod trainer;
 
 pub use config::{ExperimentConfig, ModelKind};
 pub use durable::{
-    latest_checkpoint, latest_valid_checkpoint, load_checkpoint_state, CheckpointPlan,
-    CheckpointResolution,
+    latest_checkpoint, latest_valid_checkpoint, load_checkpoint_state, verify_checkpoints,
+    CheckpointPlan, CheckpointResolution,
 };
 pub use eval::{accuracy, accuracy_full_graph, predict, predict_full_graph};
 pub use fit::{fit, fit_with_log, FitConfig, FitReport};

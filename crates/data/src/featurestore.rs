@@ -8,7 +8,8 @@
 //! * [`DenseFeatures`] — the original in-memory matrix. Zero overhead;
 //!   every gather is a hit.
 //! * [`PagedFeatures`] — features live on disk as fixed-row shards
-//!   (`shard-NNNNN.bfs`, CRC-32-checked like the v2 checkpoint format),
+//!   (`shard-NNNNN.bfs`, framed and CRC-32-checked through
+//!   [`betty_tensor::container`] like every other on-disk format),
 //!   and a byte-budgeted pinned hot-set cache holds the shards the
 //!   sampler is actually touching, evicting in least-recently-used order
 //!   of the *gather access pattern*.
@@ -89,11 +90,15 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
+use betty_tensor::container::{
+    crc32, frame, sync_dir, unframe, write_atomic, write_atomic_batched, FormatError,
+};
 use betty_tensor::{DType, Tensor};
 
 const META_MAGIC: &[u8; 8] = b"BTYFMET1";
@@ -115,35 +120,6 @@ pub const DEFAULT_MAX_IO_RETRIES: usize = 3;
 /// Base of the simulated exponential retry backoff:
 /// `base · 2^attempt · (0.5 + jitter)` seconds, jitter in `[0, 1)`.
 const IO_BACKOFF_BASE_SEC: f64 = 5e-3;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE, reflected) — the same polynomial the checkpoint format
-// uses; betty-nn sits *above* betty-data in the dependency order, so the
-// table is re-derived here rather than imported.
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            k += 1;
-        }
-        table[i as usize] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -201,6 +177,12 @@ impl std::error::Error for FeatureStoreError {
 impl From<io::Error> for FeatureStoreError {
     fn from(e: io::Error) -> Self {
         FeatureStoreError::Io(e)
+    }
+}
+
+impl From<FormatError> for FeatureStoreError {
+    fn from(e: FormatError) -> Self {
+        FeatureStoreError::Format(e.detail)
     }
 }
 
@@ -499,12 +481,176 @@ impl FeatureStore for DenseFeatures {
 // ---------------------------------------------------------------------------
 // Paged backend.
 
-/// One shard's location on disk plus its payload geometry.
-#[derive(Debug, Clone)]
-struct ShardInfo {
-    path: PathBuf,
-    start_row: usize,
-    num_rows: usize,
+/// A store's geometry as its meta file records it: everything needed to
+/// name, encode and validate any of its shards.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    rows: usize,
+    cols: usize,
+    page_rows: usize,
+    dtype: DType,
+}
+
+impl Layout {
+    fn num_shards(&self) -> usize {
+        self.rows.div_ceil(self.page_rows).max(1)
+    }
+
+    /// The feature rows `shard` holds.
+    fn shard_rows(&self, shard: usize) -> Range<usize> {
+        let start = shard * self.page_rows;
+        start..(start + self.page_rows).min(self.rows)
+    }
+
+    /// Bytes of `shard`'s payload at the storage width.
+    fn payload_bytes(&self, shard: usize) -> usize {
+        self.shard_rows(shard).len() * self.cols * self.dtype.bytes_per_value()
+    }
+
+    /// The (meta, shard) magics: v1 for f32, v2 (dtype-tagged) for 16-bit.
+    fn magics(&self) -> (&'static [u8; 8], &'static [u8; 8]) {
+        if self.dtype == DType::F32 {
+            (META_MAGIC, SHARD_MAGIC)
+        } else {
+            (META_MAGIC_V2, SHARD_MAGIC_V2)
+        }
+    }
+
+    fn encode_meta(&self) -> Vec<u8> {
+        let mut body = BytesMut::new();
+        body.put_u32_le(self.rows as u32);
+        body.put_u32_le(self.cols as u32);
+        body.put_u32_le(self.page_rows as u32);
+        if self.dtype != DType::F32 {
+            body.put_u32_le(self.dtype.tag());
+        }
+        frame(self.magics().0, &body)
+    }
+
+    /// Reads and validates the meta file of the store in `dir`.
+    fn read(dir: &Path) -> Result<Layout, FeatureStoreError> {
+        let bytes = std::fs::read(dir.join(META_FILE))?;
+        let (version, mut c) = unframe(&bytes, &[META_MAGIC, META_MAGIC_V2], "meta")?;
+        let rows = c.count("meta rows")?;
+        let cols = c.count("meta cols")?;
+        let page_rows = c.count("meta page_rows")?;
+        let dtype = if version == 0 {
+            DType::F32
+        } else {
+            let tag = c.u32("meta dtype tag")?;
+            match DType::from_tag(tag) {
+                Some(DType::F32) | None => {
+                    return Err(FeatureStoreError::Format(format!(
+                        "meta names invalid 16-bit dtype tag {tag}"
+                    )))
+                }
+                Some(d) => d,
+            }
+        };
+        c.finish("meta header")?;
+        if page_rows == 0 {
+            return Err(FeatureStoreError::Format("page_rows is zero".into()));
+        }
+        // Every payload size derived later is bounded by this one, so
+        // checking it here keeps all of them in range.
+        c.size(c.size(rows, cols, "feature matrix")?, dtype.bytes_per_value(), "feature matrix")?;
+        Ok(Layout {
+            rows,
+            cols,
+            page_rows,
+            dtype,
+        })
+    }
+
+    /// Encodes shard file `shard` around `payload` — the single source of
+    /// the on-disk bytes, so a parity repair is byte-identical to the
+    /// original spill.
+    fn encode_shard(&self, shard: usize, payload: &[u8]) -> Vec<u8> {
+        let rows = self.shard_rows(shard);
+        let mut body = BytesMut::new();
+        body.put_u32_le(shard as u32);
+        body.put_u32_le(rows.start as u32);
+        body.put_u32_le(rows.len() as u32);
+        body.put_u32_le(self.cols as u32);
+        if self.dtype != DType::F32 {
+            body.put_u32_le(self.dtype.tag());
+        }
+        body.put_slice(payload);
+        frame(self.magics().1, &body)
+    }
+
+    /// Parses and fully validates the bytes of shard file `shard`: magic,
+    /// CRC over the body, and every header field — the row range
+    /// included — against this layout. Returns the payload, or the file
+    /// offset and nature of the first defect.
+    fn parse_shard<'a>(&self, bytes: &'a [u8], shard: usize) -> Result<&'a [u8], FormatError> {
+        let (_, mut c) = unframe(bytes, &[self.magics().1], "shard")?;
+        let got_shard = c.count("shard header")?;
+        let start_row = c.count("shard header")?;
+        let num_rows = c.count("shard header")?;
+        let cols = c.count("shard header")?;
+        let field = |index: usize, detail: String| {
+            FormatError::new(SHARD_MAGIC.len() + 4 * index, detail)
+        };
+        if self.dtype != DType::F32 {
+            let tag = c.u32("shard header")?;
+            if DType::from_tag(tag) != Some(self.dtype) {
+                return Err(field(
+                    4,
+                    format!("shard dtype tag {tag} does not match meta dtype {}", self.dtype),
+                ));
+            }
+        }
+        if got_shard != shard {
+            return Err(field(0, format!("header names shard {got_shard}, expected {shard}")));
+        }
+        if cols != self.cols {
+            return Err(field(3, format!("shard has {cols} cols, meta says {}", self.cols)));
+        }
+        let len = c.size(
+            c.size(num_rows, cols, "shard payload")?,
+            self.dtype.bytes_per_value(),
+            "shard payload",
+        )?;
+        if c.remaining() != len {
+            return Err(c.error(format!(
+                "payload is {} bytes, header implies {len}",
+                c.remaining()
+            )));
+        }
+        let rows = self.shard_rows(shard);
+        if (start_row, num_rows) != (rows.start, rows.len()) {
+            return Err(field(
+                1,
+                format!(
+                    "header says {num_rows} rows from {start_row} but meta expects rows {}..{}",
+                    rows.start, rows.end
+                ),
+            ));
+        }
+        c.take(len, 1, "shard payload")
+    }
+
+    /// Reads shard file `shard` from `dir`, validates it with
+    /// [`Layout::parse_shard`] and hands the payload to `use_payload`. A
+    /// missing file is damage at offset 0, like any other.
+    fn read_shard<T>(
+        &self,
+        dir: &Path,
+        shard: usize,
+        use_payload: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, ShardFailure> {
+        let bytes = match std::fs::read(dir.join(shard_name(shard))) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(ShardFailure::Corrupt(FormatError::new(0, "shard file missing")));
+            }
+            Err(e) => return Err(ShardFailure::Io(e)),
+        };
+        self.parse_shard(&bytes, shard)
+            .map(use_payload)
+            .map_err(ShardFailure::Corrupt)
+    }
 }
 
 /// One resident shard's payload at its storage width. Half-width shards
@@ -598,7 +744,16 @@ enum ShardFailure {
     /// Transient-looking I/O error (worth retrying).
     Io(io::Error),
     /// Structural damage at a byte offset (worth repairing, not retrying).
-    Corrupt { offset: u64, detail: String },
+    Corrupt(FormatError),
+}
+
+impl fmt::Display for ShardFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardFailure::Io(e) => write!(f, "unreadable ({e})"),
+            ShardFailure::Corrupt(e) => write!(f, "damaged ({e})"),
+        }
+    }
 }
 
 /// Disk-resident features: fixed-row shards plus a byte-budgeted pinned
@@ -611,11 +766,7 @@ enum ShardFailure {
 #[derive(Debug)]
 pub struct PagedFeatures {
     dir: PathBuf,
-    rows: usize,
-    cols: usize,
-    page_rows: usize,
-    dtype: DType,
-    shards: Vec<ShardInfo>,
+    layout: Layout,
     cache_budget_bytes: usize,
     cache: Mutex<CacheState>,
     parity: Option<ParityMeta>,
@@ -695,34 +846,23 @@ impl PagedFeatures {
         assert!(page_rows > 0, "page_rows must be positive");
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let (rows, cols) = (features.rows(), features.cols());
+        let layout = Layout {
+            rows: features.rows(),
+            cols: features.cols(),
+            page_rows,
+            dtype,
+        };
+        write_atomic_batched(&dir.join(META_FILE), &layout.encode_meta())?;
 
-        let mut meta = BytesMut::new();
-        meta.put_u32_le(rows as u32);
-        meta.put_u32_le(cols as u32);
-        meta.put_u32_le(page_rows as u32);
-        if dtype != DType::F32 {
-            meta.put_u32_le(dtype.tag());
-        }
-        let crc = crc32(&meta);
-        let mut meta_file = BytesMut::new();
-        meta_file.put_slice(if dtype == DType::F32 { META_MAGIC } else { META_MAGIC_V2 });
-        meta_file.put_slice(&meta);
-        meta_file.put_u32_le(crc);
-        write_atomic(&dir.join(META_FILE), &meta_file)?;
-
-        let num_shards = shard_count(rows, page_rows);
+        let num_shards = layout.num_shards();
         let mut payload_crcs = Vec::with_capacity(num_shards);
-        // Current parity group's running XOR (zero-padded to the widest
-        // member payload) and its first member, flushed at group
-        // boundaries — shards are written in order, so each group's
-        // members are consecutive.
+        // Current parity group's running XOR, flushed at group boundaries —
+        // shards are written in order, so each group's members are
+        // consecutive.
         let mut group_xor: Vec<u8> = Vec::new();
         for shard in 0..num_shards {
-            let start_row = shard * page_rows;
-            let num_rows = page_rows.min(rows - start_row);
             let mut payload = BytesMut::new();
-            for r in start_row..start_row + num_rows {
+            for r in layout.shard_rows(shard) {
                 for &v in features.row(r) {
                     match dtype {
                         DType::F32 => payload.put_f32_le(v),
@@ -731,24 +871,16 @@ impl PagedFeatures {
                 }
             }
             payload_crcs.push(crc32(&payload));
-            let file = encode_shard_file(shard, start_row, num_rows, cols, dtype, &payload);
-            write_atomic(&dir.join(shard_name(shard)), &file)?;
-            if parity > 0 {
-                if shard % parity == 0 {
+            let file = layout.encode_shard(shard, &payload);
+            write_atomic_batched(&dir.join(shard_name(shard)), &file)?;
+            // `checked_div` is `None` for `parity == 0`: no sidecar.
+            if let Some(group) = shard.checked_div(parity) {
+                xor_into(&mut group_xor, &payload);
+                let members = group_members(group, parity, num_shards);
+                if shard + 1 == members.end {
+                    let file = encode_parity_file(group, members, &group_xor);
+                    write_atomic_batched(&dir.join(parity_name(group)), &file)?;
                     group_xor.clear();
-                }
-                if payload.len() > group_xor.len() {
-                    group_xor.resize(payload.len(), 0);
-                }
-                for (acc, &b) in group_xor.iter_mut().zip(payload.iter()) {
-                    *acc ^= b;
-                }
-                let last_in_group = shard % parity == parity - 1 || shard == num_shards - 1;
-                if last_in_group {
-                    let group = shard / parity;
-                    let first = group * parity;
-                    let file = encode_parity_file(group, first, shard - first + 1, &group_xor);
-                    write_atomic(&dir.join(parity_name(group)), &file)?;
                 }
             }
         }
@@ -759,13 +891,11 @@ impl PagedFeatures {
             for &crc in &payload_crcs {
                 body.put_u32_le(crc);
             }
-            let crc = crc32(&body);
-            let mut file = BytesMut::new();
-            file.put_slice(PARITY_META_MAGIC);
-            file.put_slice(&body);
-            file.put_u32_le(crc);
-            write_atomic(&dir.join(PARITY_META_FILE), &file)?;
+            let file = frame(PARITY_META_MAGIC, &body);
+            write_atomic_batched(&dir.join(PARITY_META_FILE), &file)?;
         }
+        // One directory fsync makes every rename above durable.
+        sync_dir(dir);
         Self::open(dir, cache_budget_bytes)
     }
 
@@ -784,39 +914,21 @@ impl PagedFeatures {
         cache_budget_bytes: usize,
     ) -> Result<Arc<Self>, FeatureStoreError> {
         let dir = dir.as_ref().to_path_buf();
-        let (rows, cols, page_rows, dtype) = read_meta(&dir)?;
-
-        let num_shards = shard_count(rows, page_rows);
-        let mut shards = Vec::with_capacity(num_shards);
+        let layout = Layout::read(&dir)?;
+        let num_shards = layout.num_shards();
         for shard in 0..num_shards {
-            let path = dir.join(shard_name(shard));
-            let start_row = shard * page_rows;
-            let num_rows = page_rows.min(rows - start_row);
-            let (got_start, got_rows) =
-                validate_shard(&path, shard, cols, dtype).map_err(|e| match e {
-                    FeatureStoreError::Format(msg) => {
-                        FeatureStoreError::Format(format!("shard {shard}: {msg}"))
-                    }
-                    other => other,
-                })?;
-            if got_start != start_row || got_rows != num_rows {
-                return Err(FeatureStoreError::Format(format!(
-                    "shard {shard}: header says rows {got_start}..{} but meta expects {start_row}..{}",
-                    got_start + got_rows,
-                    start_row + num_rows
-                )));
-            }
-            shards.push(ShardInfo {
-                path,
-                start_row,
-                num_rows,
-            });
+            layout.read_shard(&dir, shard, |_| ()).map_err(|e| match e {
+                ShardFailure::Io(e) => FeatureStoreError::Io(e),
+                ShardFailure::Corrupt(e) => {
+                    FeatureStoreError::Format(format!("shard {shard}: {e}"))
+                }
+            })?;
         }
         let parity = if dir.join(PARITY_META_FILE).exists() {
-            let meta = load_parity_meta(&dir, num_shards)?;
+            let meta = ParityMeta::read(&dir, num_shards)?;
             for group in 0..num_shards.div_ceil(meta.width) {
-                read_parity_payload(&dir, group, meta.width, num_shards).map_err(|msg| {
-                    FeatureStoreError::Format(format!("parity shard {group}: {msg}"))
+                read_parity_payload(&dir, group, meta.width, num_shards).map_err(|e| {
+                    FeatureStoreError::Format(format!("parity shard {group}: {e}"))
                 })?;
             }
             Some(meta)
@@ -825,11 +937,7 @@ impl PagedFeatures {
         };
         Ok(Arc::new(Self {
             dir,
-            rows,
-            cols,
-            page_rows,
-            dtype,
-            shards,
+            layout,
             cache_budget_bytes,
             cache: Mutex::new(CacheState::default()),
             parity,
@@ -894,11 +1002,11 @@ impl PagedFeatures {
     /// [`FeatureStoreError::Format`] if the shard has no payload bytes
     /// to flip.
     pub fn corrupt_shard_byte(&self, shard: usize) -> Result<u64, FeatureStoreError> {
-        assert!(shard < self.shards.len(), "shard {shard} out of range");
-        let info = &self.shards[shard];
-        let mut bytes = std::fs::read(&info.path)?;
-        let header = shard_header_len(self.dtype);
-        let payload_len = info.num_rows * self.cols * self.dtype.bytes_per_value();
+        assert!(shard < self.num_shards(), "shard {shard} out of range");
+        let path = self.dir.join(shard_name(shard));
+        let mut bytes = std::fs::read(&path)?;
+        let header = shard_header_len(self.layout.dtype);
+        let payload_len = self.layout.payload_bytes(shard);
         if payload_len == 0 {
             return Err(FeatureStoreError::Format(format!(
                 "shard {shard} has an empty payload; nothing to corrupt"
@@ -906,7 +1014,7 @@ impl PagedFeatures {
         }
         let offset = header + payload_len / 2;
         bytes[offset] ^= 0x40;
-        std::fs::write(&info.path, &bytes)?;
+        std::fs::write(&path, &bytes)?;
         let mut state = self.cache.lock().expect("feature cache poisoned");
         if let Some((payload, _)) = state.resident.remove(&shard) {
             state.held_bytes -= payload.byte_len();
@@ -916,7 +1024,7 @@ impl PagedFeatures {
 
     /// The storage width of the shard payloads.
     pub fn dtype(&self) -> DType {
-        self.dtype
+        self.layout.dtype
     }
 
     /// The directory the shards live in.
@@ -926,12 +1034,12 @@ impl PagedFeatures {
 
     /// Rows per shard (the page size).
     pub fn page_rows(&self) -> usize {
-        self.page_rows
+        self.layout.page_rows
     }
 
     /// Number of shard files.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.layout.num_shards()
     }
 
     /// The configured cache budget, in bytes (not clamped to the total).
@@ -978,7 +1086,8 @@ impl PagedFeatures {
                     format!("injected transient read error (attempt {attempt})"),
                 )))
             } else {
-                self.read_shard_validated(shard)
+                self.layout
+                    .read_shard(&self.dir, shard, |p| decode_payload(p, self.layout.dtype))
             };
             match outcome {
                 Ok(payload) => return Ok(payload),
@@ -1006,11 +1115,11 @@ impl PagedFeatures {
                     });
                     attempt += 1;
                 }
-                Err(ShardFailure::Corrupt { offset, detail }) => {
+                Err(ShardFailure::Corrupt(damage)) => {
                     // On-disk damage is not transient: repair from
                     // parity (bit-identical, verified, re-persisted)
                     // or fail structurally.
-                    let (payload, repair_bytes) = self.repair_shard(shard, offset, &detail)?;
+                    let (payload, repair_bytes) = self.repair_shard(shard, damage)?;
                     let group = shard / self.parity.as_ref().map_or(1, |p| p.width);
                     stats.shards_repaired += 1;
                     stats.repair_bytes += repair_bytes;
@@ -1025,122 +1134,32 @@ impl PagedFeatures {
         }
     }
 
-    /// One physical read of `shard` with full container validation.
-    fn read_shard_validated(&self, shard: usize) -> Result<ShardPayload, ShardFailure> {
-        let info = &self.shards[shard];
-        let bytes = match std::fs::read(&info.path) {
-            Ok(b) => Bytes::from(b),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(ShardFailure::Corrupt {
-                    offset: 0,
-                    detail: "shard file missing".into(),
-                })
-            }
-            Err(e) => return Err(ShardFailure::Io(e)),
-        };
-        match parse_shard(&bytes, shard, self.cols, self.dtype) {
-            Ok((start_row, num_rows, payload)) => {
-                if start_row != info.start_row || num_rows != info.num_rows {
-                    return Err(ShardFailure::Corrupt {
-                        offset: SHARD_MAGIC.len() as u64,
-                        detail: format!(
-                            "header says rows {start_row}..{} but meta expects {}..{}",
-                            start_row + num_rows,
-                            info.start_row,
-                            info.start_row + info.num_rows
-                        ),
-                    });
-                }
-                Ok(decode_payload(&payload, self.dtype))
-            }
-            Err((offset, detail)) => Err(ShardFailure::Corrupt { offset, detail }),
-        }
-    }
-
-    /// Reconstructs `shard`'s payload from its XOR parity group, verifies
-    /// it against the recorded payload CRC, re-persists the full shard
-    /// container atomically, and returns the payload plus the bytes
-    /// re-read from disk to rebuild it.
+    /// Repairs the damaged `shard` from its XOR parity group (see
+    /// [`rebuild_shard`]); returns the payload plus the bytes re-read from
+    /// disk to rebuild it.
     fn repair_shard(
         &self,
         shard: usize,
-        offset: u64,
-        why: &str,
+        damage: FormatError,
     ) -> Result<(ShardPayload, u64), FeatureStoreError> {
         let fail = |detail: String| FeatureStoreError::Shard {
             shard,
-            offset,
-            detail,
+            offset: damage.offset as u64,
+            detail: format!("{}; {detail}", damage.detail),
         };
         let Some(parity) = &self.parity else {
-            return Err(fail(format!(
-                "{why}; store has no parity sidecar to repair from"
-            )));
+            return Err(fail("store has no parity sidecar to repair from".into()));
         };
-        let width = parity.width;
-        let group = shard / width;
-        let first = group * width;
-        let members = first..(first + width).min(self.shards.len());
-        let (_, _, mut acc) = read_parity_payload(&self.dir, group, width, self.shards.len())
-            .map_err(|msg| {
-                fail(format!(
-                    "{why}; parity shard for group {group} is unusable ({msg})"
-                ))
-            })?;
-        let mut repair_bytes = acc.len() as u64;
-        for peer in members {
-            if peer == shard {
-                continue;
-            }
-            let path = self.dir.join(shard_name(peer));
-            let bytes = Bytes::from(std::fs::read(&path).map_err(|e| {
-                fail(format!(
-                    "{why}; peer shard {peer} in group {group} is also unreadable ({e}) — \
-                     XOR parity can repair exactly one shard per group"
-                ))
-            })?);
-            let (_, _, payload) =
-                parse_shard(&bytes, peer, self.cols, self.dtype).map_err(|(_, msg)| {
-                    fail(format!(
-                        "{why}; peer shard {peer} in group {group} is also damaged ({msg}) — \
-                         XOR parity can repair exactly one shard per group"
-                    ))
-                })?;
-            repair_bytes += payload.len() as u64;
-            for (acc_byte, &b) in acc.iter_mut().zip(payload.iter()) {
-                *acc_byte ^= b;
-            }
+        let read_peer = |peer: usize| {
+            self.layout
+                .read_shard(&self.dir, peer, <[u8]>::to_vec)
+                .map_err(|e| e.to_string())
+        };
+        match rebuild_shard(&self.dir, &self.layout, parity, shard, read_peer) {
+            Ok((payload, bytes)) => Ok((decode_payload(&payload, self.layout.dtype), bytes)),
+            Err(FeatureStoreError::Shard { detail, .. }) => Err(fail(detail)),
+            Err(other) => Err(other),
         }
-        let info = &self.shards[shard];
-        let my_len = info.num_rows * self.cols * self.dtype.bytes_per_value();
-        if acc.len() < my_len {
-            return Err(fail(format!(
-                "{why}; parity payload is {} bytes but shard needs {my_len}",
-                acc.len()
-            )));
-        }
-        acc.truncate(my_len);
-        if crc32(&acc) != parity.payload_crcs[shard] {
-            return Err(fail(format!(
-                "{why}; parity reconstruction failed its recorded CRC — \
-                 more than one shard in group {group} is damaged"
-            )));
-        }
-        let file = encode_shard_file(
-            shard,
-            info.start_row,
-            info.num_rows,
-            self.cols,
-            self.dtype,
-            &acc,
-        );
-        write_atomic(&info.path, &file)?;
-        Ok((decode_payload(&acc, self.dtype), repair_bytes))
-    }
-
-    /// Bytes one shard's payload occupies at the storage width.
-    fn shard_payload_bytes(&self, shard: usize) -> usize {
-        self.shards[shard].num_rows * self.cols * self.dtype.bytes_per_value()
     }
 
     /// Ensures `shard` is resident, updating its LRU tick; returns whether
@@ -1187,11 +1206,11 @@ impl PagedFeatures {
 
 impl FeatureStore for PagedFeatures {
     fn rows(&self) -> usize {
-        self.rows
+        self.layout.rows
     }
 
     fn cols(&self) -> usize {
-        self.cols
+        self.layout.cols
     }
 
     fn gather_into(&self, indices: &[usize], out: &mut [f32]) -> GatherStats {
@@ -1206,32 +1225,32 @@ impl FeatureStore for PagedFeatures {
     ) -> Result<GatherStats, FeatureStoreError> {
         assert_eq!(
             out.len(),
-            indices.len() * self.cols,
+            indices.len() * self.layout.cols,
             "output buffer must be indices.len() × cols"
         );
         let mut stats = GatherStats::default();
-        if self.cols == 0 {
+        if self.layout.cols == 0 {
             stats.hits = indices.len() as u64;
             return Ok(stats);
         }
         let mut state = self.cache.lock().expect("feature cache poisoned");
         for (slot, &idx) in indices.iter().enumerate() {
-            assert!(idx < self.rows, "row {idx} out of range ({} rows)", self.rows);
-            let shard = idx / self.page_rows;
+            assert!(idx < self.layout.rows, "row {idx} out of range ({} rows)", self.layout.rows);
+            let shard = idx / self.layout.page_rows;
             if self.touch_shard(&mut state, shard, &mut stats)? {
                 stats.misses += 1;
                 stats.pages_in += 1;
-                stats.bytes_in += self.shard_payload_bytes(shard) as u64;
+                stats.bytes_in += self.layout.payload_bytes(shard) as u64;
             } else {
                 stats.hits += 1;
             }
             let (payload, _) = &state.resident[&shard];
-            let local = idx - self.shards[shard].start_row;
+            let local = idx % self.layout.page_rows;
             payload.copy_row(
-                self.dtype,
+                self.layout.dtype,
                 local,
-                self.cols,
-                &mut out[slot * self.cols..(slot + 1) * self.cols],
+                self.layout.cols,
+                &mut out[slot * self.layout.cols..(slot + 1) * self.layout.cols],
             );
         }
         Ok(stats)
@@ -1243,7 +1262,7 @@ impl FeatureStore for PagedFeatures {
 
     fn try_prewarm(&self, indices: &[usize]) -> Result<GatherStats, FeatureStoreError> {
         let mut stats = GatherStats::default();
-        if self.cols == 0 {
+        if self.layout.cols == 0 {
             return Ok(stats);
         }
         let mut state = self.cache.lock().expect("feature cache poisoned");
@@ -1251,48 +1270,45 @@ impl FeatureStore for PagedFeatures {
         // (and therefore eviction order) tracks the access pattern.
         let mut seen = Vec::new();
         for &idx in indices {
-            assert!(idx < self.rows, "row {idx} out of range ({} rows)", self.rows);
-            let shard = idx / self.page_rows;
+            assert!(idx < self.layout.rows, "row {idx} out of range ({} rows)", self.layout.rows);
+            let shard = idx / self.layout.page_rows;
             if seen.contains(&shard) {
                 continue;
             }
             seen.push(shard);
             if self.touch_shard(&mut state, shard, &mut stats)? {
                 stats.pages_in += 1;
-                stats.bytes_in += self.shard_payload_bytes(shard) as u64;
+                stats.bytes_in += self.layout.payload_bytes(shard) as u64;
             }
         }
         Ok(stats)
     }
 
     fn to_dense(&self) -> Tensor {
-        let mut data = vec![0.0f32; self.rows * self.cols];
-        for (shard, info) in self.shards.iter().enumerate() {
-            let payload = self.read_shard_payload(shard).to_f32(self.dtype);
-            let start = info.start_row * self.cols;
+        let mut data = vec![0.0f32; self.layout.rows * self.layout.cols];
+        for shard in 0..self.num_shards() {
+            let payload = self.read_shard_payload(shard).to_f32(self.layout.dtype);
+            let start = self.layout.shard_rows(shard).start * self.layout.cols;
             data[start..start + payload.len()].copy_from_slice(&payload);
         }
-        Tensor::from_vec(data, &[self.rows, self.cols]).expect("shard geometry is validated")
+        Tensor::from_vec(data, &[self.layout.rows, self.layout.cols])
+            .expect("shard geometry is validated")
     }
 
     fn cache_reservation_bytes(&self) -> usize {
         self.cache_budget_bytes
-            .min(self.rows * self.cols * self.dtype.bytes_per_value())
+            .min(self.layout.rows * self.layout.cols * self.layout.dtype.bytes_per_value())
     }
 
     fn find_non_finite(&self) -> Option<(usize, f32)> {
-        for (shard, info) in self.shards.iter().enumerate() {
-            let payload = self.read_shard_payload(shard).to_f32(self.dtype);
+        for shard in 0..self.num_shards() {
+            let payload = self.read_shard_payload(shard).to_f32(self.layout.dtype);
             if let Some((i, &v)) = payload.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-                return Some((info.start_row * self.cols + i, v));
+                return Some((self.layout.shard_rows(shard).start * self.layout.cols + i, v));
             }
         }
         None
     }
-}
-
-fn shard_count(rows: usize, page_rows: usize) -> usize {
-    rows.div_ceil(page_rows).max(1)
 }
 
 fn shard_name(shard: usize) -> String {
@@ -1309,48 +1325,31 @@ fn shard_header_len(dtype: DType) -> usize {
     SHARD_MAGIC.len() + header_words * 4
 }
 
-/// Encodes a full shard container (magic, header, payload, CRC) — the
-/// single source of the on-disk bytes, used by both the spiller and the
-/// parity repairer so reconstruction is byte-identical to the original.
-fn encode_shard_file(
-    shard: usize,
-    start_row: usize,
-    num_rows: usize,
-    cols: usize,
-    dtype: DType,
-    payload: &[u8],
-) -> BytesMut {
-    let mut body = BytesMut::new();
-    body.put_u32_le(shard as u32);
-    body.put_u32_le(start_row as u32);
-    body.put_u32_le(num_rows as u32);
-    body.put_u32_le(cols as u32);
-    if dtype != DType::F32 {
-        body.put_u32_le(dtype.tag());
-    }
-    body.put_slice(payload);
-    let crc = crc32(&body);
-    let mut file = BytesMut::new();
-    file.put_slice(if dtype == DType::F32 { SHARD_MAGIC } else { SHARD_MAGIC_V2 });
-    file.put_slice(&body);
-    file.put_u32_le(crc);
-    file
+/// Data shards covered by parity group `group`.
+fn group_members(group: usize, width: usize, num_shards: usize) -> Range<usize> {
+    let first = group * width;
+    first..(first + width).min(num_shards)
 }
 
-/// Encodes a parity shard container for `group`.
-fn encode_parity_file(group: usize, first_shard: usize, num_shards: usize, xor: &[u8]) -> BytesMut {
+/// XORs `payload` into `acc`, zero-padding `acc` to the longer of the two.
+fn xor_into(acc: &mut Vec<u8>, payload: &[u8]) {
+    if payload.len() > acc.len() {
+        acc.resize(payload.len(), 0);
+    }
+    for (a, &b) in acc.iter_mut().zip(payload) {
+        *a ^= b;
+    }
+}
+
+/// Encodes the parity shard of `group` (covering data shards `members`).
+fn encode_parity_file(group: usize, members: Range<usize>, xor: &[u8]) -> Vec<u8> {
     let mut body = BytesMut::new();
     body.put_u32_le(group as u32);
-    body.put_u32_le(first_shard as u32);
-    body.put_u32_le(num_shards as u32);
+    body.put_u32_le(members.start as u32);
+    body.put_u32_le(members.len() as u32);
     body.put_u32_le(xor.len() as u32);
     body.put_slice(xor);
-    let crc = crc32(&body);
-    let mut file = BytesMut::new();
-    file.put_slice(PARITY_MAGIC);
-    file.put_slice(&body);
-    file.put_u32_le(crc);
-    file
+    frame(PARITY_MAGIC, &body)
 }
 
 /// Decodes raw payload bytes to a cache-resident payload at `dtype`.
@@ -1371,226 +1370,115 @@ fn decode_payload(bytes: &[u8], dtype: DType) -> ShardPayload {
     }
 }
 
-/// Parses and fully validates one shard file's bytes (magic, header
-/// consistency, CRC over the whole body); returns
-/// `(start_row, num_rows, payload)` or `(byte offset, detail)` locating
-/// the first structural failure.
-fn parse_shard(
-    bytes: &Bytes,
-    expect_shard: usize,
-    expect_cols: usize,
-    expect_dtype: DType,
-) -> Result<(usize, usize, Bytes), (u64, String)> {
-    let header = shard_header_len(expect_dtype);
-    if bytes.len() < header + 4 {
-        return Err((bytes.len() as u64, "truncated shard file".into()));
-    }
-    let mut buf = bytes.clone();
-    let magic = buf.split_to(SHARD_MAGIC.len());
-    let expect_magic: &[u8] = if expect_dtype == DType::F32 {
-        SHARD_MAGIC
-    } else {
-        SHARD_MAGIC_V2
-    };
-    if &magic[..] != expect_magic {
-        return Err((0, "shard magic does not match meta version".into()));
-    }
-    let body = buf.split_to(buf.remaining() - 4);
-    let stored_crc = buf.get_u32_le();
-    if crc32(&body) != stored_crc {
-        return Err(((bytes.len() - 4) as u64, "shard CRC mismatch".into()));
-    }
-    let mut hdr = body.clone();
-    let shard = hdr.get_u32_le() as usize;
-    let start_row = hdr.get_u32_le() as usize;
-    let num_rows = hdr.get_u32_le() as usize;
-    let cols = hdr.get_u32_le() as usize;
-    if expect_dtype != DType::F32 {
-        let tag = hdr.get_u32_le();
-        if DType::from_tag(tag) != Some(expect_dtype) {
-            return Err((
-                (SHARD_MAGIC.len() + 4 * 4) as u64,
-                format!("shard dtype tag {tag} does not match meta dtype {expect_dtype}"),
-            ));
+impl ParityMeta {
+    /// Loads and validates the parity sidecar meta of the store in `dir`,
+    /// which has `num_shards` data shards.
+    fn read(dir: &Path, num_shards: usize) -> Result<ParityMeta, FeatureStoreError> {
+        let bytes = std::fs::read(dir.join(PARITY_META_FILE))?;
+        let (_, mut c) = unframe(&bytes, &[PARITY_META_MAGIC], "parity meta")?;
+        let width = c.count("parity width")?;
+        let count = c.count("parity shard count")?;
+        if width == 0 {
+            return Err(FeatureStoreError::Format("parity width is zero".into()));
         }
-    }
-    if shard != expect_shard {
-        return Err((
-            SHARD_MAGIC.len() as u64,
-            format!("header names shard {shard}, expected {expect_shard}"),
-        ));
-    }
-    if cols != expect_cols {
-        return Err((
-            (SHARD_MAGIC.len() + 3 * 4) as u64,
-            format!("shard has {cols} cols, meta says {expect_cols}"),
-        ));
-    }
-    if hdr.remaining() != num_rows * cols * expect_dtype.bytes_per_value() {
-        return Err((
-            header as u64,
-            format!(
-                "payload is {} bytes, header implies {}",
-                hdr.remaining(),
-                num_rows * cols * expect_dtype.bytes_per_value()
-            ),
-        ));
-    }
-    let payload_len = hdr.remaining();
-    Ok((start_row, num_rows, hdr.split_to(payload_len)))
-}
-
-/// Validates one shard file end to end (version and dtype must match the
-/// meta file); returns `(start_row, num_rows)` from its header.
-fn validate_shard(
-    path: &Path,
-    expect_shard: usize,
-    expect_cols: usize,
-    expect_dtype: DType,
-) -> Result<(usize, usize), FeatureStoreError> {
-    let bytes = Bytes::from(std::fs::read(path).map_err(|e| {
-        if e.kind() == io::ErrorKind::NotFound {
-            FeatureStoreError::Format(format!("missing shard file {}", path.display()))
-        } else {
-            FeatureStoreError::Io(e)
+        if count != num_shards {
+            return Err(FeatureStoreError::Format(format!(
+                "parity meta covers {count} shards, store has {num_shards}"
+            )));
         }
-    })?);
-    match parse_shard(&bytes, expect_shard, expect_cols, expect_dtype) {
-        Ok((start_row, num_rows, _)) => Ok((start_row, num_rows)),
-        Err((_, detail)) => Err(FeatureStoreError::Format(detail)),
+        let payload_crcs = c.u32s(count, "payload CRCs")?;
+        c.finish("payload CRCs")?;
+        Ok(ParityMeta {
+            width,
+            payload_crcs,
+        })
     }
 }
 
-/// Reads and validates the store's meta file; returns
-/// `(rows, cols, page_rows, dtype)`.
-fn read_meta(dir: &Path) -> Result<(usize, usize, usize, DType), FeatureStoreError> {
-    let meta_bytes = Bytes::from(std::fs::read(dir.join(META_FILE))?);
-    let mut buf = meta_bytes.clone();
-    if buf.remaining() < META_MAGIC.len() + 3 * 4 + 4 {
-        return Err(FeatureStoreError::Format("meta file truncated".into()));
-    }
-    let magic = buf.split_to(META_MAGIC.len());
-    let v2 = match &magic[..] {
-        m if m == META_MAGIC => false,
-        m if m == META_MAGIC_V2 => true,
-        _ => return Err(FeatureStoreError::Format("bad meta magic".into())),
-    };
-    let body_len = if v2 { 4 * 4 } else { 3 * 4 };
-    if buf.remaining() < body_len + 4 {
-        return Err(FeatureStoreError::Format("meta file truncated".into()));
-    }
-    let body = buf.split_to(body_len);
-    let stored_crc = buf.get_u32_le();
-    if buf.remaining() > 0 {
-        return Err(FeatureStoreError::Format("trailing bytes in meta file".into()));
-    }
-    if crc32(&body) != stored_crc {
-        return Err(FeatureStoreError::Format("meta CRC mismatch".into()));
-    }
-    let mut body = body;
-    let rows = body.get_u32_le() as usize;
-    let cols = body.get_u32_le() as usize;
-    let page_rows = body.get_u32_le() as usize;
-    let dtype = if v2 {
-        let tag = body.get_u32_le();
-        match DType::from_tag(tag) {
-            Some(DType::F32) | None => {
-                return Err(FeatureStoreError::Format(format!(
-                    "meta names invalid 16-bit dtype tag {tag}"
-                )))
-            }
-            Some(d) => d,
-        }
-    } else {
-        DType::F32
-    };
-    if page_rows == 0 {
-        return Err(FeatureStoreError::Format("page_rows is zero".into()));
-    }
-    Ok((rows, cols, page_rows, dtype))
-}
-
-/// Loads and validates the parity sidecar meta for a store with
-/// `num_shards` data shards.
-fn load_parity_meta(dir: &Path, num_shards: usize) -> Result<ParityMeta, FeatureStoreError> {
-    let bytes = Bytes::from(std::fs::read(dir.join(PARITY_META_FILE))?);
-    if bytes.len() < PARITY_META_MAGIC.len() + 2 * 4 + 4 {
-        return Err(FeatureStoreError::Format("parity meta truncated".into()));
-    }
-    let mut buf = bytes.clone();
-    let magic = buf.split_to(PARITY_META_MAGIC.len());
-    if &magic[..] != PARITY_META_MAGIC {
-        return Err(FeatureStoreError::Format("bad parity meta magic".into()));
-    }
-    let body = buf.split_to(buf.remaining() - 4);
-    let stored_crc = buf.get_u32_le();
-    if crc32(&body) != stored_crc {
-        return Err(FeatureStoreError::Format("parity meta CRC mismatch".into()));
-    }
-    let mut body = body;
-    let width = body.get_u32_le() as usize;
-    let count = body.get_u32_le() as usize;
-    if width == 0 {
-        return Err(FeatureStoreError::Format("parity width is zero".into()));
-    }
-    if count != num_shards || body.remaining() != count * 4 {
-        return Err(FeatureStoreError::Format(format!(
-            "parity meta covers {count} shards, store has {num_shards}"
-        )));
-    }
-    let payload_crcs = (0..count).map(|_| body.get_u32_le()).collect();
-    Ok(ParityMeta {
-        width,
-        payload_crcs,
-    })
-}
-
-/// Reads and validates one parity shard; returns
-/// `(first_shard, num_shards, xor payload)` or a failure description.
+/// Reads and validates the parity shard of `group`; returns its XOR
+/// payload.
 fn read_parity_payload(
     dir: &Path,
     group: usize,
     width: usize,
-    total_shards: usize,
-) -> Result<(usize, usize, Vec<u8>), String> {
-    let path = dir.join(parity_name(group));
-    let bytes = std::fs::read(&path).map_err(|e| format!("unreadable: {e}"))?;
-    let header = PARITY_MAGIC.len() + 4 * 4;
-    if bytes.len() < header + 4 {
-        return Err("truncated parity file".into());
+    num_shards: usize,
+) -> Result<Vec<u8>, FormatError> {
+    let bytes = std::fs::read(dir.join(parity_name(group)))
+        .map_err(|e| FormatError::new(0, format!("unreadable: {e}")))?;
+    let (_, mut c) = unframe(&bytes, &[PARITY_MAGIC], "parity")?;
+    let got_group = c.count("parity header")?;
+    let first = c.count("parity header")?;
+    let count = c.count("parity header")?;
+    let members = group_members(group, width, num_shards);
+    if (got_group, first, count) != (group, members.start, members.len()) {
+        let detail = format!(
+            "header names group {got_group} ({count} shards from {first}), \
+             expected group {group} (shards {}..{})",
+            members.start, members.end
+        );
+        return Err(FormatError::new(PARITY_MAGIC.len(), detail));
     }
-    let mut buf = Bytes::from(bytes);
-    let magic = buf.split_to(PARITY_MAGIC.len());
-    if &magic[..] != PARITY_MAGIC {
-        return Err("bad parity magic".into());
+    let len = c.count("parity header")?;
+    let payload = c.take(len, 1, "parity payload")?.to_vec();
+    c.finish("parity payload")?;
+    Ok(payload)
+}
+
+/// Rebuilds data shard `shard` by XOR-ing its group's parity payload with
+/// every other member's payload (`peer` yields a member's validated
+/// payload, or why it has none), verifies the result against the payload
+/// CRC the parity sidecar recorded, and atomically re-persists the shard
+/// file. Returns the payload and the bytes read to rebuild it.
+///
+/// Mid-run repair and [`scrub`] both repair through here. A shard that
+/// cannot be rebuilt is a [`FeatureStoreError::Shard`]; only the final
+/// write can fail with [`FeatureStoreError::Io`].
+fn rebuild_shard(
+    dir: &Path,
+    layout: &Layout,
+    parity: &ParityMeta,
+    shard: usize,
+    mut peer: impl FnMut(usize) -> Result<Vec<u8>, String>,
+) -> Result<(Vec<u8>, u64), FeatureStoreError> {
+    let fail = |detail: String| FeatureStoreError::Shard {
+        shard,
+        offset: 0,
+        detail,
+    };
+    let num_shards = layout.num_shards();
+    let group = shard / parity.width;
+    let mut acc = read_parity_payload(dir, group, parity.width, num_shards)
+        .map_err(|e| fail(format!("parity shard for group {group} is unusable ({e})")))?;
+    let mut repair_bytes = acc.len() as u64;
+    for member in group_members(group, parity.width, num_shards) {
+        if member == shard {
+            continue;
+        }
+        let payload = peer(member).map_err(|why| {
+            fail(format!(
+                "peer shard {member} in group {group} is also {why} — \
+                 XOR parity can repair exactly one shard per group"
+            ))
+        })?;
+        repair_bytes += payload.len() as u64;
+        xor_into(&mut acc, &payload);
     }
-    let body = buf.split_to(buf.remaining() - 4);
-    let stored_crc = buf.get_u32_le();
-    if crc32(&body) != stored_crc {
-        return Err("parity CRC mismatch".into());
+    let len = layout.payload_bytes(shard);
+    if acc.len() < len {
+        return Err(fail(format!(
+            "parity payload is {} bytes but shard needs {len}",
+            acc.len()
+        )));
     }
-    let mut body = body;
-    let got_group = body.get_u32_le() as usize;
-    let first_shard = body.get_u32_le() as usize;
-    let num_shards = body.get_u32_le() as usize;
-    let payload_len = body.get_u32_le() as usize;
-    let expect_first = group * width;
-    let expect_count = width.min(total_shards - expect_first);
-    if got_group != group || first_shard != expect_first || num_shards != expect_count {
-        return Err(format!(
-            "header names group {got_group} (shards {first_shard}..{}), \
-             expected group {group} (shards {expect_first}..{})",
-            first_shard + num_shards,
-            expect_first + expect_count
-        ));
+    acc.truncate(len);
+    if crc32(&acc) != parity.payload_crcs[shard] {
+        return Err(fail(format!(
+            "parity reconstruction failed its recorded CRC — \
+             more than one shard in group {group} is damaged"
+        )));
     }
-    if body.remaining() != payload_len {
-        return Err(format!(
-            "payload is {} bytes, header implies {payload_len}",
-            body.remaining()
-        ));
-    }
-    Ok((first_shard, num_shards, body.to_vec()))
+    write_atomic(&dir.join(shard_name(shard)), &layout.encode_shard(shard, &acc))?;
+    Ok((acc, repair_bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -1635,10 +1523,10 @@ impl ScrubReport {
 /// without them nothing can be verified.
 pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
     let dir = dir.as_ref();
-    let (rows, cols, page_rows, dtype) = read_meta(dir)?;
-    let num_shards = shard_count(rows, page_rows);
+    let layout = Layout::read(dir)?;
+    let num_shards = layout.num_shards();
     let parity = if dir.join(PARITY_META_FILE).exists() {
-        Some(load_parity_meta(dir, num_shards)?)
+        Some(ParityMeta::read(dir, num_shards)?)
     } else {
         None
     };
@@ -1648,116 +1536,62 @@ pub fn scrub(dir: impl AsRef<Path>) -> Result<ScrubReport, FeatureStoreError> {
         ..ScrubReport::default()
     };
 
-    let shard_status: Vec<Result<Bytes, String>> = (0..num_shards)
+    // Each data shard's validated payload, or why it has none.
+    let shard_status: Vec<Result<Vec<u8>, String>> = (0..num_shards)
         .map(|shard| {
-            let bytes = Bytes::from(
-                std::fs::read(dir.join(shard_name(shard)))
-                    .map_err(|e| format!("unreadable: {e}"))?,
-            );
-            let start_row = shard * page_rows;
-            let num_rows = page_rows.min(rows - start_row);
-            let (got_start, got_rows, payload) =
-                parse_shard(&bytes, shard, cols, dtype).map_err(|(_, detail)| detail)?;
-            if got_start != start_row || got_rows != num_rows {
-                return Err("header rows disagree with meta".into());
-            }
-            if let Some(p) = &parity {
-                if crc32(&payload) != p.payload_crcs[shard] {
-                    return Err("payload CRC does not match parity sidecar".into());
+            let payload = layout
+                .read_shard(dir, shard, <[u8]>::to_vec)
+                .map_err(|e| e.to_string())?;
+            match &parity {
+                Some(p) if crc32(&payload) != p.payload_crcs[shard] => {
+                    Err("damaged (payload CRC does not match parity sidecar)".into())
                 }
+                _ => Ok(payload),
             }
-            Ok(payload)
         })
         .collect();
 
     let Some(parity) = parity else {
-        for (shard, status) in shard_status.iter().enumerate() {
-            if status.is_err() {
-                report.unrepairable.push(shard);
-            }
-        }
+        report.unrepairable = (0..num_shards).filter(|&s| shard_status[s].is_err()).collect();
         return Ok(report);
     };
 
-    let width = parity.width;
-    let num_groups = num_shards.div_ceil(width);
+    let num_groups = num_shards.div_ceil(parity.width);
     report.parity_checked = num_groups;
     for group in 0..num_groups {
-        let first = group * width;
-        let members: Vec<usize> = (first..(first + width).min(num_shards)).collect();
-        let bad: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&s| shard_status[s].is_err())
-            .collect();
-        let parity_payload = read_parity_payload(dir, group, width, num_shards);
-        match (bad.len(), parity_payload) {
-            (0, Ok(_)) => {}
-            (0, Err(_)) => {
-                // Every data shard is intact: the parity shard itself
-                // is the damaged one — rebuild it.
-                let mut xor: Vec<u8> = Vec::new();
-                for &member in &members {
-                    let payload = shard_status[member].as_ref().expect("member is intact");
-                    if payload.len() > xor.len() {
-                        xor.resize(payload.len(), 0);
+        let members = group_members(group, parity.width, num_shards);
+        let bad: Vec<usize> = members.clone().filter(|&s| shard_status[s].is_err()).collect();
+        match bad[..] {
+            [] => {
+                if read_parity_payload(dir, group, parity.width, num_shards).is_err() {
+                    // Every data shard is intact: the parity shard itself
+                    // is the damaged one — rebuild it.
+                    let mut xor = Vec::new();
+                    for member in members.clone() {
+                        let payload = shard_status[member].as_ref().expect("member is intact");
+                        xor_into(&mut xor, payload);
                     }
-                    for (acc, &b) in xor.iter_mut().zip(payload.iter()) {
-                        *acc ^= b;
-                    }
+                    let file = encode_parity_file(group, members, &xor);
+                    write_atomic(&dir.join(parity_name(group)), &file)?;
+                    report.parity_rebuilt.push(group);
                 }
-                let file = encode_parity_file(group, first, members.len(), &xor);
-                write_atomic(&dir.join(parity_name(group)), &file)?;
-                report.parity_rebuilt.push(group);
             }
-            (1, Ok((_, _, mut acc))) => {
-                let shard = bad[0];
-                for &member in &members {
-                    if member == shard {
-                        continue;
-                    }
-                    let payload = shard_status[member].as_ref().expect("member is intact");
-                    for (acc_byte, &b) in acc.iter_mut().zip(payload.iter()) {
-                        *acc_byte ^= b;
-                    }
+            [shard] => {
+                let peer = |member: usize| shard_status[member].clone();
+                match rebuild_shard(dir, &layout, &parity, shard, peer) {
+                    Ok(_) => report.shards_repaired.push(shard),
+                    Err(FeatureStoreError::Io(e)) => return Err(e.into()),
+                    // The parity shard is damaged too, or the rebuild
+                    // fails its CRC: leave everything as-is.
+                    Err(_) => report.unrepairable.push(shard),
                 }
-                let start_row = shard * page_rows;
-                let num_rows = page_rows.min(rows - start_row);
-                let my_len = num_rows * cols * dtype.bytes_per_value();
-                if acc.len() < my_len || crc32(&acc[..my_len]) != parity.payload_crcs[shard] {
-                    report.unrepairable.push(shard);
-                    continue;
-                }
-                acc.truncate(my_len);
-                let file = encode_shard_file(shard, start_row, num_rows, cols, dtype, &acc);
-                write_atomic(&dir.join(shard_name(shard)), &file)?;
-                report.shards_repaired.push(shard);
             }
-            // ≥2 damaged members, or one damaged member plus a damaged
-            // parity shard: XOR cannot recover — leave everything as-is.
-            (_, _) => report.unrepairable.extend(bad.iter().copied()),
+            // ≥2 damaged members: XOR cannot recover — leave everything
+            // as-is.
+            _ => report.unrepairable.extend(bad),
         }
     }
     Ok(report)
-}
-
-/// Same-directory atomic write (tmp + fsync + rename), mirroring the
-/// dataset and checkpoint writers.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -2287,6 +2121,27 @@ mod tests {
         assert_eq!(&shard[..8], SHARD_MAGIC);
         let opened = PagedFeatures::open(&dir, usize::MAX).unwrap();
         assert_eq!(opened.dtype(), DType::F32);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overflowing_shard_header_is_a_format_error_at_open() {
+        // Meta and shard CRCs are valid, but the shard header's
+        // num_rows × cols × 4 (u32::MAX × 2³¹ × 4) overflows usize: open
+        // must reject it as a format error, never multiply it out.
+        let dir = tmp_dir("overflow");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let words = |w: &[u32]| -> Vec<u8> { w.iter().flat_map(|v| v.to_le_bytes()).collect() };
+        let cols = 1u32 << 31;
+        std::fs::write(dir.join(META_FILE), frame(META_MAGIC, &words(&[1, cols, 1]))).unwrap();
+        std::fs::write(
+            dir.join(shard_name(0)),
+            frame(SHARD_MAGIC, &words(&[0, 0, u32::MAX, cols])),
+        )
+        .unwrap();
+        let err = PagedFeatures::open(&dir, usize::MAX).unwrap_err();
+        assert!(matches!(err, FeatureStoreError::Format(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,9 +13,10 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use betty_graph::{CsrGraph, NodeId};
+use betty_tensor::container::{self, Cursor, FormatError};
 use betty_tensor::Tensor;
 
 use crate::{DataError, Dataset};
@@ -62,42 +63,16 @@ impl From<io::Error> for LoadError {
     }
 }
 
+impl From<FormatError> for LoadError {
+    fn from(e: FormatError) -> Self {
+        LoadError::Format(e.detail)
+    }
+}
+
 impl From<DataError> for LoadError {
     fn from(e: DataError) -> Self {
         LoadError::Data(e)
     }
-}
-
-/// Writes `bytes` to `path` atomically: the data goes to a same-directory
-/// temp file, is fsynced, then renamed over the destination (with a
-/// best-effort directory fsync), so `path` either keeps its old content
-/// or holds the complete new image — never a torn write.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        use std::io::Write;
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 fn put_u32_slice(buf: &mut BytesMut, values: impl IntoIterator<Item = u32>) {
@@ -138,22 +113,7 @@ pub fn save_dataset(dataset: &Dataset, path: impl AsRef<Path>) -> io::Result<()>
     for &f in dataset.features.to_dense().data() {
         buf.put_f32_le(f);
     }
-    write_atomic(path.as_ref(), &buf)
-}
-
-fn need(buf: &Bytes, bytes: usize, what: &str) -> Result<(), LoadError> {
-    if buf.remaining() < bytes {
-        return Err(LoadError::Format(format!(
-            "truncated while reading {what} ({bytes} bytes needed, {} left)",
-            buf.remaining()
-        )));
-    }
-    Ok(())
-}
-
-fn read_u32_vec(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<u32>, LoadError> {
-    need(buf, n * 4, what)?;
-    Ok((0..n).map(|_| buf.get_u32_le()).collect())
+    container::write_atomic(path.as_ref(), &buf)
 }
 
 /// Loads a dataset written by [`save_dataset`].
@@ -163,36 +123,27 @@ fn read_u32_vec(buf: &mut Bytes, n: usize, what: &str) -> Result<Vec<u32>, LoadE
 /// [`LoadError::Io`] on filesystem problems, [`LoadError::Format`] when
 /// the file is not a valid dataset image.
 pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, LoadError> {
-    let mut buf = Bytes::from(fs::read(path)?);
-    need(&buf, MAGIC.len(), "magic")?;
-    if &buf.split_to(MAGIC.len())[..] != MAGIC {
-        return Err(LoadError::Format("bad magic".into()));
-    }
-    need(&buf, 4, "name length")?;
-    let name_len = buf.get_u32_le() as usize;
-    need(&buf, name_len, "name")?;
-    let name = String::from_utf8(buf.split_to(name_len).to_vec())
+    let bytes = fs::read(path)?;
+    let mut c = Cursor::new(&bytes);
+    c.magic(MAGIC, "dataset")?;
+    let name_len = c.count("name length")?;
+    let name = String::from_utf8(c.take(name_len, 1, "name")?.to_vec())
         .map_err(|_| LoadError::Format("name is not UTF-8".into()))?;
-    need(&buf, 7 * 4, "header counts")?;
-    let n = buf.get_u32_le() as usize;
-    let e = buf.get_u32_le() as usize;
-    let d = buf.get_u32_le() as usize;
-    let classes = buf.get_u32_le() as usize;
-    let n_train = buf.get_u32_le() as usize;
-    let n_val = buf.get_u32_le() as usize;
-    let n_test = buf.get_u32_le() as usize;
+    let n = c.count("node count")?;
+    let e = c.count("edge count")?;
+    let d = c.count("feature dim")?;
+    let classes = c.count("class count")?;
+    let n_train = c.count("train split size")?;
+    let n_val = c.count("val split size")?;
+    let n_test = c.count("test split size")?;
 
-    let flat_edges = read_u32_vec(&mut buf, e * 2, "edges")?;
+    let flat_edges = c.u32s(c.size(e, 2, "edges")?, "edges")?;
     let edges: Vec<(NodeId, NodeId)> = flat_edges.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-    let labels: Vec<usize> = read_u32_vec(&mut buf, n, "labels")?
-        .into_iter()
-        .map(|l| l as usize)
-        .collect();
-    let train_idx = read_u32_vec(&mut buf, n_train, "train split")?;
-    let val_idx = read_u32_vec(&mut buf, n_val, "val split")?;
-    let test_idx = read_u32_vec(&mut buf, n_test, "test split")?;
-    need(&buf, n * d * 4, "features")?;
-    let feats: Vec<f32> = (0..n * d).map(|_| buf.get_f32_le()).collect();
+    let labels: Vec<usize> = c.u32s(n, "labels")?.into_iter().map(|l| l as usize).collect();
+    let train_idx = c.u32s(n_train, "train split")?;
+    let val_idx = c.u32s(n_val, "val split")?;
+    let test_idx = c.u32s(n_test, "test split")?;
+    let feats = c.f32s(c.size(n, d, "features")?, "features")?;
 
     for (i, &(u, v)) in edges.iter().enumerate() {
         if u as usize >= n || v as usize >= n {

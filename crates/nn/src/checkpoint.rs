@@ -2,7 +2,8 @@
 //!
 //! The v2 format supersedes the positional params-only `BTYCKPT1` layout:
 //! a checkpoint is now a sequence of independently CRC-checked *sections*,
-//! written atomically (tmp file + fsync + rename), so a crash mid-write
+//! written atomically (tmp file + fsync + rename) — sections, CRC and the
+//! write all come from [`betty_tensor::container`] — so a crash mid-write
 //! can never leave a torn file behind and any corruption — truncation or
 //! bit flips anywhere in the file — is rejected deterministically at load
 //! time instead of silently restoring garbage parameters.
@@ -39,8 +40,9 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
+use betty_tensor::container::{self, Cursor, FormatError};
 use betty_tensor::Tensor;
 
 use crate::optim::AdamState;
@@ -103,73 +105,10 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — hand-rolled so betty-nn takes
-// no new dependencies. Any single-bit error within a checked span is
-// guaranteed to change the checksum.
-
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
+impl From<FormatError> for CheckpointError {
+    fn from(e: FormatError) -> Self {
+        CheckpointError::Format(e.detail)
     }
-    table
-};
-
-/// CRC-32 (IEEE) of `data`, as used by the v2 checkpoint sections.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-// ---------------------------------------------------------------------------
-// Atomic writes.
-
-/// Writes `bytes` to `path` atomically: the data goes to `<path>.tmp`,
-/// is fsynced, and is renamed over `path`, so a crash at any point leaves
-/// either the old file or the new one — never a torn mix.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = match path.file_name() {
-        Some(name) => {
-            let mut n = name.to_os_string();
-            n.push(".tmp");
-            path.with_file_name(n)
-        }
-        None => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("cannot write to '{}': no file name", path.display()),
-            ))
-        }
-    };
-    {
-        use io::Write;
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    // Persist the rename itself: fsync the containing directory where the
-    // platform supports opening directories (unix).
-    #[cfg(unix)]
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -245,18 +184,8 @@ impl TrainState {
 // ---------------------------------------------------------------------------
 // Encoding.
 
-fn push_section(out: &mut BytesMut, tag: &[u8; 4], payload: &[u8]) {
-    let mut span = Vec::with_capacity(8 + payload.len());
-    span.extend_from_slice(tag);
-    span.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    span.extend_from_slice(payload);
-    let crc = crc32(&span);
-    out.put_slice(&span);
-    out.put_u32_le(crc);
-}
-
-fn encode_state(state: &TrainState) -> BytesMut {
-    let mut sections: Vec<(&[u8; 4], Vec<u8>)> = Vec::new();
+fn encode_state(state: &TrainState) -> Vec<u8> {
+    let mut sections: Vec<(&[u8; 4], BytesMut)> = Vec::new();
 
     let mut prms = BytesMut::new();
     prms.put_u32_le(state.params.len() as u32);
@@ -269,7 +198,7 @@ fn encode_state(state: &TrainState) -> BytesMut {
             prms.put_f32_le(x);
         }
     }
-    sections.push((TAG_PARAMS, prms.to_vec()));
+    sections.push((TAG_PARAMS, prms));
 
     if let Some(adam) = &state.adam {
         let mut buf = BytesMut::new();
@@ -289,7 +218,7 @@ fn encode_state(state: &TrainState) -> BytesMut {
                 }
             }
         }
-        sections.push((TAG_ADAM, buf.to_vec()));
+        sections.push((TAG_ADAM, buf));
     }
 
     if !state.rngs.is_empty() {
@@ -299,47 +228,34 @@ fn encode_state(state: &TrainState) -> BytesMut {
             buf.put_u64_le(s as u64);
             buf.put_u64_le((s >> 64) as u64);
         }
-        sections.push((TAG_RNGS, buf.to_vec()));
+        sections.push((TAG_RNGS, buf));
     }
 
-    if !state.counters.is_empty() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(state.counters.len() as u32);
-        for &c in &state.counters {
-            buf.put_u64_le(c);
+    for (tag, values) in [
+        (TAG_COUNTERS, state.counters.clone()),
+        (TAG_FLOATS, state.floats.iter().map(|x| x.to_bits()).collect()),
+        (TAG_HISTORY, state.history.iter().map(|x| x.to_bits()).collect()),
+    ] {
+        if !values.is_empty() {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(values.len() as u32);
+            for v in values {
+                buf.put_u64_le(v);
+            }
+            sections.push((tag, buf));
         }
-        sections.push((TAG_COUNTERS, buf.to_vec()));
-    }
-
-    if !state.floats.is_empty() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(state.floats.len() as u32);
-        for &x in &state.floats {
-            buf.put_u64_le(x.to_bits());
-        }
-        sections.push((TAG_FLOATS, buf.to_vec()));
-    }
-
-    if !state.history.is_empty() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(state.history.len() as u32);
-        for &x in &state.history {
-            buf.put_u64_le(x.to_bits());
-        }
-        sections.push((TAG_HISTORY, buf.to_vec()));
     }
 
     if let Some(fp) = state.fingerprint {
         let mut buf = BytesMut::new();
         buf.put_u64_le(fp);
-        sections.push((TAG_FINGERPRINT, buf.to_vec()));
+        sections.push((TAG_FINGERPRINT, buf));
     }
 
-    let mut out = BytesMut::new();
-    out.put_slice(MAGIC);
-    out.put_u32_le(sections.len() as u32);
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for (tag, payload) in &sections {
-        push_section(&mut out, tag, payload);
+        container::put_section(&mut out, tag, payload);
     }
     out
 }
@@ -350,62 +266,28 @@ fn encode_state(state: &TrainState) -> BytesMut {
 ///
 /// Returns the underlying I/O error if the file cannot be written.
 pub fn save_train_state(state: &TrainState, path: impl AsRef<Path>) -> io::Result<()> {
-    write_atomic(path.as_ref(), &encode_state(state))
+    container::write_atomic(path.as_ref(), &encode_state(state))
 }
 
 // ---------------------------------------------------------------------------
 // Decoding.
 
-struct Reader {
-    buf: Bytes,
-}
-
-impl Reader {
-    fn need(&self, bytes: usize, what: &str) -> Result<(), CheckpointError> {
-        if self.buf.remaining() < bytes {
-            return Err(CheckpointError::Format(format!("truncated at {what}")));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, CheckpointError> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn f32(&mut self, what: &str) -> Result<f32, CheckpointError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_f32_le())
-    }
-}
-
-fn decode_params(r: &mut Reader) -> Result<Vec<Tensor>, CheckpointError> {
-    let count = r.u32("param count")? as usize;
+fn decode_params(r: &mut Cursor) -> Result<Vec<Tensor>, CheckpointError> {
+    let count = r.count("param count")?;
     let mut params = Vec::new();
     for i in 0..count {
-        let ndim = r.u32("ndim")? as usize;
+        let ndim = r.count("ndim")?;
         if ndim > 8 {
             return Err(CheckpointError::Format(format!(
                 "parameter {i}: implausible rank {ndim}"
             )));
         }
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(r.u32("shape")? as usize);
-        }
-        let len: usize = shape.iter().product();
-        r.need(len * 4, "tensor data")?;
-        let data: Vec<f32> = (0..len).map(|_| r.buf.get_f32_le()).collect();
+        let shape = r.u32s(ndim, "shape")?;
+        let shape: Vec<usize> = shape.into_iter().map(|d| d as usize).collect();
+        let len = shape
+            .iter()
+            .try_fold(1usize, |n, &d| r.size(n, d, "parameter shape"))?;
+        let data = r.f32s(len, "tensor data")?;
         let tensor = Tensor::from_vec(data, &shape)
             .map_err(|e| CheckpointError::Format(format!("parameter {i}: {e}")))?;
         params.push(tensor);
@@ -413,12 +295,12 @@ fn decode_params(r: &mut Reader) -> Result<Vec<Tensor>, CheckpointError> {
     Ok(params)
 }
 
-fn decode_adam(r: &mut Reader, params: &[Tensor]) -> Result<AdamState, CheckpointError> {
+fn decode_adam(r: &mut Cursor, params: &[Tensor]) -> Result<AdamState, CheckpointError> {
     let t = r.u64("adam t")?;
     if t > i32::MAX as u64 {
         return Err(CheckpointError::Format(format!("implausible adam step count {t}")));
     }
-    let count = r.u32("adam moment count")? as usize;
+    let count = r.count("adam moment count")?;
     if count != params.len() {
         return Err(CheckpointError::Format(format!(
             "optimizer state has {count} entries, checkpoint has {} parameters",
@@ -430,13 +312,8 @@ fn decode_adam(r: &mut Reader, params: &[Tensor]) -> Result<AdamState, Checkpoin
         match r.u8("moment presence")? {
             0 => moments.push(None),
             1 => {
-                let len = p.len();
                 let mut read = |what| -> Result<Tensor, CheckpointError> {
-                    let mut data = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        data.push(r.f32(what)?);
-                    }
-                    Tensor::from_vec(data, p.shape())
+                    Tensor::from_vec(r.f32s(p.len(), what)?, p.shape())
                         .map_err(|e| CheckpointError::Format(format!("moment {i}: {e}")))
                 };
                 let m = read("adam m")?;
@@ -453,15 +330,21 @@ fn decode_adam(r: &mut Reader, params: &[Tensor]) -> Result<AdamState, Checkpoin
     Ok(AdamState { t: t as i32, moments })
 }
 
+/// Reads a `u32` count followed by that many `u64`s.
+fn decode_u64s(r: &mut Cursor, what: &str) -> Result<Vec<u64>, FormatError> {
+    let count = r.count(what)?;
+    (0..count).map(|_| r.u64(what)).collect()
+}
+
+/// Reads a `u32` count followed by that many `f64` bit patterns.
+fn decode_f64s(r: &mut Cursor, what: &str) -> Result<Vec<f64>, FormatError> {
+    Ok(decode_u64s(r, what)?.into_iter().map(f64::from_bits).collect())
+}
+
 fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
-    let mut r = Reader { buf: Bytes::from(bytes.to_vec()) };
-    r.need(MAGIC.len(), "magic")?;
-    if &r.buf.split_to(MAGIC.len())[..] != MAGIC {
-        return Err(CheckpointError::Format(
-            "bad magic (not a v2 checkpoint)".into(),
-        ));
-    }
-    let section_count = r.u32("section count")? as usize;
+    let mut r = Cursor::new(bytes);
+    r.magic(MAGIC, "v2 checkpoint")?;
+    let section_count = r.count("section count")?;
     if section_count > TAG_ORDER.len() {
         return Err(CheckpointError::Format(format!(
             "implausible section count {section_count}"
@@ -472,25 +355,7 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
     let mut saw_params = false;
     let mut last_rank: Option<usize> = None;
     for _ in 0..section_count {
-        r.need(8, "section header")?;
-        let mut tag = [0u8; 4];
-        tag.copy_from_slice(&r.buf.split_to(4)[..]);
-        let len = r.buf.get_u32_le() as usize;
-        r.need(len + 4, "section payload")?;
-        let payload = r.buf.split_to(len);
-        let stored_crc = r.buf.get_u32_le();
-
-        let mut span = Vec::with_capacity(8 + len);
-        span.extend_from_slice(&tag);
-        span.extend_from_slice(&(len as u32).to_le_bytes());
-        span.extend_from_slice(&payload);
-        if crc32(&span) != stored_crc {
-            return Err(CheckpointError::Format(format!(
-                "crc mismatch in section {:?}",
-                String::from_utf8_lossy(&tag)
-            )));
-        }
-
+        let (tag, mut pr) = r.section()?;
         let rank = TAG_ORDER
             .iter()
             .position(|t| **t == tag)
@@ -510,7 +375,6 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
         }
         last_rank = Some(rank);
 
-        let mut pr = Reader { buf: payload };
         match &tag {
             t if t == TAG_PARAMS => {
                 state.params = decode_params(&mut pr)?;
@@ -518,48 +382,24 @@ fn decode_state(bytes: &[u8]) -> Result<TrainState, CheckpointError> {
             }
             t if t == TAG_ADAM => state.adam = Some(decode_adam(&mut pr, &state.params)?),
             t if t == TAG_RNGS => {
-                let count = pr.u32("rng count")? as usize;
-                for _ in 0..count {
-                    let lo = pr.u64("rng state")?;
-                    let hi = pr.u64("rng state")?;
-                    state.rngs.push((lo as u128) | ((hi as u128) << 64));
-                }
+                let count = pr.count("rng count")?;
+                state.rngs = (0..count)
+                    .map(|_| {
+                        let lo = pr.u64("rng state")?;
+                        let hi = pr.u64("rng state")?;
+                        Ok((lo as u128) | ((hi as u128) << 64))
+                    })
+                    .collect::<Result<_, FormatError>>()?;
             }
-            t if t == TAG_COUNTERS => {
-                let count = pr.u32("counter count")? as usize;
-                for _ in 0..count {
-                    state.counters.push(pr.u64("counter")?);
-                }
-            }
-            t if t == TAG_FLOATS => {
-                let count = pr.u32("float count")? as usize;
-                for _ in 0..count {
-                    state.floats.push(f64::from_bits(pr.u64("float")?));
-                }
-            }
-            t if t == TAG_HISTORY => {
-                let count = pr.u32("history count")? as usize;
-                for _ in 0..count {
-                    state.history.push(f64::from_bits(pr.u64("loss")?));
-                }
-            }
+            t if t == TAG_COUNTERS => state.counters = decode_u64s(&mut pr, "counter")?,
+            t if t == TAG_FLOATS => state.floats = decode_f64s(&mut pr, "float")?,
+            t if t == TAG_HISTORY => state.history = decode_f64s(&mut pr, "loss")?,
             t if t == TAG_FINGERPRINT => state.fingerprint = Some(pr.u64("fingerprint")?),
             _ => unreachable!("tag validated against TAG_ORDER"),
         }
-        if pr.buf.remaining() != 0 {
-            return Err(CheckpointError::Format(format!(
-                "section {:?} has {} trailing bytes",
-                String::from_utf8_lossy(&tag),
-                pr.buf.remaining()
-            )));
-        }
+        pr.finish(&format!("section {:?}", String::from_utf8_lossy(&tag)))?;
     }
-    if r.buf.remaining() != 0 {
-        return Err(CheckpointError::Format(format!(
-            "{} trailing bytes after last section",
-            r.buf.remaining()
-        )));
-    }
+    r.finish("last section")?;
     if !saw_params {
         return Err(CheckpointError::Format("missing PRMS section".into()));
     }
@@ -622,13 +462,6 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("betty-ckpt-{name}-{}", std::process::id()))
-    }
-
-    #[test]
-    fn crc32_matches_reference_vector() {
-        // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -762,6 +595,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn overflowing_parameter_shape_is_a_format_error() {
+        // A PRMS section with a valid CRC naming one [u32::MAX; 3] tensor:
+        // its element count overflows usize and must be rejected as a
+        // format error, never multiplied out.
+        let mut payload = Vec::new();
+        for word in [1, 3, u32::MAX, u32::MAX, u32::MAX] {
+            payload.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        container::put_section(&mut bytes, TAG_PARAMS, &payload);
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   to run reverse-mode differentiation; [`Graph::backward`] produces
 //!   gradients for every reachable leaf.
 //! * [`check`] — finite-difference gradient checking used by the test suite.
+//! * [`container`] — the CRC-32, framing, bounds-checked reader and atomic
+//!   write behind every on-disk format in the workspace.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@ mod tensor;
 
 pub mod backend;
 pub mod check;
+pub mod container;
 pub mod dtype;
 pub mod init;
 pub mod kernels;
